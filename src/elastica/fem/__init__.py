@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import SolverError
 from ..params import BoundaryCondition, DomainGeometry, LameParams
 from ..spectrum import Method, Spectrum, merge_close
 from .analytic import (
@@ -69,7 +70,9 @@ def fem_extrapolated_spectrum(
     Runs the refinement study over the given resolutions for enough
     eigenvalues to cover the cutoff, extrapolates each, and assembles a
     Spectrum whose per-eigenvalue discretization-error estimates ride along
-    in the ExtrapolationResult.
+    in the ExtrapolationResult.  If one enlarged retry still falls short of
+    the cutoff, raises SolverError rather than label a truncated spectrum
+    complete.
     """
     count = int(1.15 * weyl_count_estimate(params, domain, lambda_max, bc)) + extra
     if bc is BoundaryCondition.FREE:
@@ -78,6 +81,11 @@ def fem_extrapolated_spectrum(
     if ex.extrapolated.max() < lambda_max:
         count = int(1.6 * count) + 10
         ex = refine_and_extrapolate(domain, params, bc, resolutions, count)
+        if ex.extrapolated.max() < lambda_max:
+            raise SolverError(
+                f"{count} extrapolated eigenvalues reach only {ex.extrapolated.max():.6g}, "
+                f"below the cutoff {lambda_max:g}"
+            )
     order = np.argsort(ex.extrapolated)
     vals = ex.extrapolated[order]
     errs = ex.error_estimate[order]

@@ -1,12 +1,21 @@
-"""Generalized symmetric eigensolver: shift-invert Lanczos with full reorthogonalization.
+"""Generalized symmetric eigensolver: ARPACK shift-invert on a symmetric-mode LU.
 
-The Lanczos iteration itself lives here; only the sparse LU factorization
-(and the dense fallback for small problems) is delegated to scipy/LAPACK.
-The M-inner-product Lanczos on (A - sigma*M)^{-1} M converges to the
-eigenvalues nearest the shift; sigma sits at/below the bottom of the
-spectrum, so the lowest eigenvalues come out first.  The subspace is grown
-incrementally until either the requested count or everything below the
-requested cutoff has converged.
+Up to ``_DENSE_LIMIT`` unknowns LAPACK computes just the requested
+eigenvalues.  Larger problems factor ``A - sigma M`` once with SuperLU,
+ordered by minimum degree on ``A^T + A`` with diagonal pivots only
+(symmetric mode), and hand the factor to ARPACK's implicitly restarted
+Lanczos method (``scipy.sparse.linalg.eigsh``) as the shift-invert
+operator.  sigma sits below the spectrum, so ``A - sigma M`` is positive
+definite and diagonal pivoting is stable.  The ordering must not be used
+with SuperLU's default partial pivoting: on an indefinite matrix, such as
+the inertia check's below, row interchanges break the symmetric structure
+the ordering was computed for and the fill grows tenfold.
+
+Each returned set carries two certificates: the residual of every pair, and
+an inertia count.  By Sylvester's law the negative pivots of a symmetric-mode
+LU of ``A - tau M`` count the eigenvalues below tau; tau is put in a gap
+above the returned set, so a multiplet copy the iteration dropped (which no
+residual can reveal) shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -18,13 +27,20 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from ..errors import ParameterDomainError, SolverError
+from ..params import BoundaryCondition
 from .assemble import Operators
 
-# dense is allowed up to 4000 unknowns, but LAPACK's full solve is already
-# slower than shift-invert Lanczos well before that on one core
+# dense is allowed up to 4000 unknowns, but LAPACK's solve is already
+# slower than shift-invert ARPACK well before that on one core
 _DENSE_LIMIT = 1200
 _RESID_TOL = 1e-8
-_RITZ_TOL = 1e-9
+# values asked for beyond the needed ones, so that the gap above the last
+# needed value is seen even when it opens a fourfold multiplet
+_EXTRA = 4
+# neighbours closer than this (relative) are copies of one multiplet
+_GAP_REL = 1e-6
+# values below this share of the largest one are numerically zero (rigid modes)
+_ZERO_REL = 1e-8
 
 
 @dataclass
@@ -35,90 +51,48 @@ class EigResult:
     method: str
 
 
-def _dense_eigs(ops: Operators, count: int) -> EigResult:
+def _dense_eigs(ops: Operators, count: int | None, lambda_max: float | None) -> EigResult:
     A = ops.stiffness.toarray()
     M = ops.mass.toarray()
-    vals, vecs = sla.eigh(A, M)
-    vals = vals[:count]
-    vecs = vecs[:, :count]
+    if count is not None:
+        vals, vecs = sla.eigh(A, M, subset_by_index=[0, min(count, ops.n) - 1])
+    else:
+        # subset_by_value is the half-open interval (lo, hi]
+        vals, vecs = sla.eigh(A, M, subset_by_value=[-np.inf, lambda_max])
+        keep = vals < lambda_max
+        vals, vecs = vals[keep], vecs[:, keep]
     res = _residuals(ops, vals, vecs)
     return EigResult(values=vals, residuals=res, converged_count=len(vals), method="dense")
 
 
 def _residuals(ops, vals, vecs):
-    A, M = ops.stiffness, ops.mass
-    out = np.empty(len(vals))
-    for i, lam in enumerate(vals):
-        x = vecs[:, i]
-        mx = M @ x
-        out[i] = np.linalg.norm(A @ x - lam * mx) / np.linalg.norm(mx)
-    return out
+    mx = ops.mass @ vecs
+    return np.linalg.norm(ops.stiffness @ vecs - mx * vals, axis=0) / np.linalg.norm(mx, axis=0)
 
 
-class _Lanczos:
-    """Incrementally extendable M-orthogonal Lanczos on (A - sigma M)^{-1} M."""
+def _factor(ops: Operators, shift: float):
+    """Symmetric-mode SuperLU of A - shift M: MMD on A^T + A, diagonal pivots only."""
+    return spla.splu(
+        (ops.stiffness - shift * ops.mass).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
-    def __init__(self, ops: Operators, seed: int, m_cap: int):
-        A, M = ops.stiffness, ops.mass
-        self.M = M
-        self.n = A.shape[0]
-        self.m_cap = min(m_cap, self.n)
-        # shift just below the spectrum: the wanted eigenvalues must remain
-        # the extreme end of 1/(lambda - sigma); a 1/h^2-sized shift would
-        # compress them against the discretization tail
-        self.sigma = 0.0 if ops.bc.value == "dirichlet" else -0.2 * ops.params.mu
-        self.lu = spla.splu((A - self.sigma * M).tocsc())
-        rng = np.random.default_rng(seed)
-        self.Q = np.empty((min(self.m_cap + 1, 128), self.n))
-        q = rng.standard_normal(self.n)
-        q /= np.sqrt(q @ (M @ q))
-        self.Q[0] = q
-        self.alpha = []
-        self.beta = []
-        self.exhausted = False
 
-    def extend(self, m_target: int):
-        m_target = min(m_target, self.m_cap)
-        if self.Q.shape[0] < m_target + 1:
-            grown = np.empty((m_target + 1, self.n))
-            grown[: self.Q.shape[0]] = self.Q
-            self.Q = grown
-        j = len(self.alpha)
-        while j < m_target and not self.exhausted:
-            mq = self.M @ self.Q[j]
-            w = self.lu.solve(mq)
-            a = w @ mq
-            w -= a * self.Q[j]
-            if j > 0:
-                w -= self.beta[j - 1] * self.Q[j - 1]
-            for _ in range(2):  # full reorthogonalization, twice
-                w -= self.Q[: j + 1].T @ (self.Q[: j + 1] @ (self.M @ w))
-            b = np.sqrt(max(w @ (self.M @ w), 0.0))
-            self.alpha.append(a)
-            if b < 1e-14:
-                self.exhausted = True
-                self.beta.append(0.0)
-                break
-            self.beta.append(b)
-            self.Q[j + 1] = w / b
-            j += 1
+def _gap_above(vals: np.ndarray, last: int):
+    """(tau, number of values below tau) for the first genuine gap at or above
+    ``vals[last]``, tau being its midpoint; None if the values show none.
 
-    def ritz(self):
-        """(values ascending, error bounds, tridiagonal eigvecs, m)."""
-        m = len(self.alpha)
-        theta, S = sla.eigh_tridiagonal(np.array(self.alpha), np.array(self.beta[: m - 1]))
-        order = np.argsort(theta)[::-1]
-        theta, S = theta[order], S[:, order]
-        pos = theta > 0
-        theta, S = theta[pos], S[:, pos]
-        lams = self.sigma + 1.0 / theta
-        bm = self.beta[m - 1] if m >= 1 else 0.0
-        lam_err = np.abs(S[-1, :]) * bm / theta**2
-        return lams, lam_err, S, m
-
-    def vectors(self, S, take):
-        m = len(self.alpha)
-        return self.Q[:m].T @ S[:, :take]
+    Gaps inside a multiplet or inside the numerically zero rigid-mode cluster
+    are not genuine: an inertia count there would hinge on rounding.
+    """
+    zero = np.abs(vals) <= _ZERO_REL * np.abs(vals).max()
+    for i in range(last, len(vals) - 1):
+        lo, hi = vals[i], vals[i + 1]
+        if hi - lo > _GAP_REL * abs(hi) and not (zero[i] and zero[i + 1]):
+            return 0.5 * (lo + hi), i + 1
+    return None
 
 
 def solve_eigs(
@@ -127,60 +101,77 @@ def solve_eigs(
     lambda_max: float | None = None,
     seed_sequence=(0, 1, 2, 3, 4),
 ) -> EigResult:
-    """Eigenvalues of A x = lambda M x with residual certificates.
+    """Eigenvalues of A x = lambda M x with residual and inertia certificates.
 
     Either the lowest ``count`` eigenvalues, or (with ``lambda_max``) every
-    eigenvalue below the cutoff.  Dense path (LAPACK) below 1200 unknowns;
-    otherwise the in-repo Lanczos, extended until the target set has
-    converged.  A breakdown triggers a restart with the next deterministic
+    eigenvalue below the cutoff.  Dense path (LAPACK) up to 1200 unknowns;
+    otherwise ARPACK in shift-invert mode on one sparse factorization, which
+    is reused across seeds and across growth of the requested number (only a
+    failed inertia certificate, which frees it, makes a retry factor again).  In
+    cutoff mode that number starts from the two-term Weyl estimate and grows
+    by 1.6x until the largest returned value reaches the cutoff.  A failed
+    iteration or certificate triggers a retry with the next deterministic
     seed.
     """
     if count is None and lambda_max is None:
         raise ParameterDomainError("need count or lambda_max")
     if ops.n <= _DENSE_LIMIT:
-        res = _dense_eigs(ops, count if count is not None else ops.n)
-        if lambda_max is not None and count is None:
-            keep = res.values < lambda_max
-            res = EigResult(res.values[keep], res.residuals[keep], int(keep.sum()), "dense")
-        return res
+        return _dense_eigs(ops, count, lambda_max)
 
-    last_exc = None
+    A, M, n = ops.stiffness, ops.mass, ops.n
+    # shift just below the spectrum: the wanted eigenvalues must remain the
+    # extreme end of 1/(lambda - sigma), and A - sigma M positive definite
+    sigma = 0.0 if ops.bc is BoundaryCondition.DIRICHLET else -0.2 * ops.params.mu
+    if count is not None:
+        k = count + _EXTRA
+    else:
+        from . import weyl_count_estimate  # the package imports this module
+
+        k = int(1.05 * weyl_count_estimate(ops.params, ops.mesh.domain, lambda_max, ops.bc)) + _EXTRA
+        if ops.bc is BoundaryCondition.FREE:
+            k += 3  # rigid motions
+    k_cap = n - 2  # eigsh needs k < n - 1 on a sparse matrix
+
+    op_inv = None
+    last_err = None
     for seed in seed_sequence:
+        if op_inv is None:
+            try:
+                lu = _factor(ops, sigma)
+            except RuntimeError as exc:  # SuperLU reports a singular factor this way
+                raise SolverError(f"factorization of A - {sigma:g} M failed: {exc}") from exc
+            op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            del lu
+        v0 = np.random.default_rng(seed).standard_normal(n)
         try:
-            lz = _Lanczos(ops, seed, m_cap=min(ops.n - 1, 1500))
-            m = max(80, 2 * count + 40 if count is not None else 120)
             while True:
-                lz.extend(m)
-                lams, lam_err, S, m_now = lz.ritz()
-                conv = lam_err <= _RITZ_TOL * np.maximum(np.abs(lams), 1.0)
-                if count is not None:
-                    done = len(lams) >= count and bool(np.all(conv[:count]))
-                    take = count
-                else:
-                    below = lams < lambda_max
-                    # complete when everything under the cutoff has converged
-                    # and at least one converged value lies beyond it
-                    done = (
-                        bool(np.all(conv[below]))
-                        and bool(np.any(conv & ~below))
-                    )
-                    take = int(below.sum())
-                if done:
-                    vecs = lz.vectors(S, take)
-                    res = _residuals(ops, lams[:take], vecs)
-                    if np.all(res <= _RESID_TOL):
-                        return EigResult(
-                            values=lams[:take],
-                            residuals=res,
-                            converged_count=take,
-                            method="lanczos",
-                        )
-                if m_now >= lz.m_cap or lz.exhausted:
+                k = min(k, k_cap)
+                vals, vecs = spla.eigsh(A, k, M=M, sigma=sigma, OPinv=op_inv, v0=v0)
+                order = np.argsort(vals)
+                vals, vecs = vals[order], vecs[:, order]
+                take = count if count is not None else int(np.sum(vals < lambda_max))
+                gap = _gap_above(vals, max(take - 1, 0))
+                reached = count is not None or vals[-1] >= lambda_max
+                if (reached and gap is not None) or k == k_cap:
                     break
-                m = min(int(1.4 * m_now) + 20, lz.m_cap)
-        except SolverError:
-            raise
-        except Exception as exc:  # factorization or recurrence failure
-            last_exc = exc
+                k = int(1.6 * k)
+        except spla.ArpackError as exc:  # includes ArpackNoConvergence
+            last_err = exc
             continue
-    raise SolverError(f"Lanczos failed to converge the requested set (last error: {last_exc})")
+        if gap is None or not reached:
+            last_err = f"{k} values reach {vals[-1]:.6g} without a certifiable gap"
+            continue
+        res = _residuals(ops, vals[:take], vecs[:, :take])
+        if not np.all(res <= _RESID_TOL):
+            last_err = f"residual {res.max():.2e} above {_RESID_TOL:g} (seed {seed})"
+            continue
+        # the shift factor and the basis go before the inertia factor is made,
+        # so the two factors never coexist; a retry factors the shift again
+        op_inv = vecs = None
+        tau, below = gap
+        negative = int(np.sum(_factor(ops, tau).U.diagonal() < 0))
+        if negative != below:
+            last_err = f"{below} values below {tau:.6g} but inertia counts {negative} (seed {seed})"
+            continue
+        return EigResult(values=vals[:take], residuals=res, converged_count=take, method="lanczos")
+    raise SolverError(f"ARPACK failed to certify the requested set (last error: {last_err})")

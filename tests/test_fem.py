@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
-from elastica.errors import MeshError, ParameterDomainError
+from elastica.errors import MeshError, ParameterDomainError, SolverError
 from elastica.fem import (
+    ExtrapolationResult,
     analytic_decoupled_spectrum,
     assemble,
     disk_dirichlet_spectrum,
@@ -19,10 +22,12 @@ from elastica.fem import (
     unit_disk_mesh,
     unit_square_mesh,
 )
+from elastica.fem import eigs as eigs_mod
 from elastica.fem.mesh import Mesh, _signed_areas
 from elastica.params import BoundaryCondition as BC
 from elastica.params import LameParams, UNIT_DISK, UNIT_SQUARE
 from elastica.specfun import bessel_zeros
+from elastica.spectrum import merge_close
 
 PDEC = LameParams(1.0, -1.0)
 P11 = LameParams(1.0, 1.0)
@@ -146,8 +151,6 @@ def test_sparse_lanczos_matches_dense():
     assert ops.n > 1200
     r_sparse = solve_eigs(ops, 8)
     assert r_sparse.method == "lanczos"
-    import scipy.linalg as sla
-
     dense = np.sort(
         sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
     )[:8]
@@ -225,3 +228,118 @@ def test_fem_spectrum_trust_threshold():
     assert sp.method.value == "fem"
     # degenerate doublets are merged
     assert sp.multiplicities[0] == 2
+
+
+def _sparse_ops(rings, params, bc):
+    ops = assemble(unit_disk_mesh(rings), params, bc)
+    assert ops.n > eigs_mod._DENSE_LIMIT
+    return ops
+
+
+def test_sparse_decoupled_disk_multiplets():
+    # lambda = -mu: two copies of the scalar Dirichlet Laplacian, so the
+    # lowest ten are j01^2 twice, then j11^2 and j21^2 four times each
+    r = solve_eigs(_sparse_ops(15, PDEC, BC.DIRICHLET), count=10)
+    assert r.method == "lanczos"
+    reps, mults = merge_close(r.values, rel_gap=1e-6)
+    assert list(mults) == [2, 4, 4]
+    exact = np.array([bessel_zeros(0, 1)[0], bessel_zeros(1, 1)[0], bessel_zeros(2, 1)[0]]) ** 2
+    assert np.max(np.abs(reps - exact) / exact) < 3e-2
+
+
+def test_sparse_free_disk_cutoff_matches_dense():
+    ops = _sparse_ops(14, P11, BC.FREE)
+    cut = 60.0
+    r = solve_eigs(ops, lambda_max=cut)
+    assert r.method == "lanczos"
+    dense = sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
+    scale = dense[dense < cut].max()
+    assert np.sum(np.abs(r.values) <= 1e-8 * scale) == 3
+    assert len(r.values) == np.sum(dense < cut)
+    assert np.max(np.abs(r.values - dense[: len(r.values)])) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("mode", [{"count": 9}, {"lambda_max": 40.0}])
+def test_dense_subset_matches_full_eigh(mode):
+    ops = assemble(unit_disk_mesh(10), P11, BC.FREE)
+    assert ops.n <= eigs_mod._DENSE_LIMIT
+    r = solve_eigs(ops, **mode)
+    full = sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
+    want = full[:9] if "count" in mode else full[full < 40.0]
+    assert r.method == "dense" and len(r.values) == len(want)
+    assert np.max(np.abs(r.values - want)) <= 1e-10 * want.max()
+
+
+def test_one_shift_factor_survives_a_failed_arpack_seed(monkeypatch):
+    ops = _sparse_ops(15, PDEC, BC.DIRICHLET)
+    real_splu, real_eigsh = spla.splu, spla.eigsh
+    factors, seeds = [], []
+
+    def splu(*args, **kwargs):
+        factors.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    def eigsh(*args, **kwargs):
+        seeds.append(kwargs["v0"][0])
+        if len(seeds) == 1:
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((ops.n, 0)))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    r = solve_eigs(ops, count=10)
+    assert len(seeds) == 2 and seeds[0] != seeds[1]  # the retry used the next seed
+    # the shift factor, reused by the retry, and the inertia check's factor
+    assert len(factors) == 2
+    assert list(merge_close(r.values, rel_gap=1e-6)[1]) == [2, 4, 4]
+
+
+@pytest.mark.parametrize("drops", [1, None])
+def test_inertia_catches_a_dropped_multiplet_copy(monkeypatch, drops):
+    # residuals cannot see a missing copy: ARPACK's answer with one copy of
+    # the j11^2 quadruplet removed still has tiny residuals
+    ops = _sparse_ops(15, PDEC, BC.DIRICHLET)
+    real_eigsh = spla.eigsh
+    calls = []
+
+    def eigsh(*args, **kwargs):
+        calls.append(1)
+        vals, vecs = real_eigsh(*args, **kwargs)
+        if drops is None or len(calls) <= drops:
+            order = np.argsort(vals)
+            keep = np.delete(order, 3)
+            vals, vecs = vals[keep], vecs[:, keep]
+        return vals, vecs
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    if drops is None:
+        with pytest.raises(SolverError, match="inertia"):
+            solve_eigs(ops, count=10)
+    else:
+        r = solve_eigs(ops, count=10)
+        assert len(calls) == 2
+        assert list(merge_close(r.values, rel_gap=1e-6)[1]) == [2, 4, 4]
+
+
+def test_extrapolated_spectrum_short_of_cutoff_raises(monkeypatch):
+    import elastica.fem as fem
+
+    calls = []
+
+    def short(domain, params, bc, resolutions, count):
+        calls.append(count)
+        vals = np.linspace(1.0, 50.0, count)
+        return ExtrapolationResult(
+            resolutions=list(resolutions),
+            h_values=[0.1, 0.05, 0.025],
+            raw=np.vstack([vals] * 3),
+            extrapolated=vals,
+            observed_order=np.full(count, 2.0),
+            flagged=np.zeros(count, dtype=bool),
+            error_estimate=np.zeros(count),
+        )
+
+    monkeypatch.setattr(fem, "refine_and_extrapolate", short)
+    with pytest.raises(SolverError, match=r"reach only 50, below the cutoff 100"):
+        fem.fem_extrapolated_spectrum(UNIT_DISK, P11, BC.DIRICHLET, [8, 16, 32], 100.0)
+    assert len(calls) == 2 and calls[1] > calls[0]
