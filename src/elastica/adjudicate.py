@@ -57,6 +57,18 @@ class SpectrumComparison:
         }
 
 
+def _nearest_distance(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """min_j |x[i] - pts[j]| per i for sorted pts (inf when pts is empty),
+    from the two neighbours of each insertion point: O((n + m) log m) time
+    and O(n) memory."""
+    if pts.size == 0:
+        return np.full(x.shape, np.inf)
+    j = np.searchsorted(pts, x)
+    left = pts[np.maximum(j - 1, 0)]
+    right = pts[np.minimum(j, pts.size - 1)]
+    return np.minimum(np.abs(x - left), np.abs(x - right))
+
+
 def compare_spectra(
     spec_a: Spectrum,
     spec_b: Spectrum,
@@ -88,10 +100,7 @@ def compare_spectra(
     # would masquerade as a lost eigenvalue)
     union = np.unique(np.concatenate([ea, eb, [0.0], [lam_cut]]))
     cand = 0.5 * (union[:-1] + union[1:])
-    both = np.concatenate([ea, eb]) if ea.size + eb.size else np.array([np.inf])
-    guard = np.minimum.reduce(
-        [np.abs(cand[:, None] - both[None, :]).min(axis=1)]
-    )
+    guard = _nearest_distance(cand, np.sort(np.concatenate([ea, eb])))
     keep = guard > 2.0 * pair_rtol * np.maximum(cand, 1.0)
     mids = cand[keep]
     if mids.size > n_samples:

@@ -11,7 +11,6 @@ potentials) and every found root carries a residual certificate.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .params import BoundaryCondition, LameParams, UNIT_DISK
 from .coeffs import rayleigh_root
 from .spectrum import Method, Spectrum
 from .specfun import _backend
+from .specfun.roots import refine_brackets
 
 _ALPHA_DEGENERATE_TOL = 1e-12
 _BISECT_REL_TOL = 1e-12
@@ -80,9 +80,9 @@ def characteristic_det(k: int, lambda_ev: float, params: LameParams, bc: Boundar
     return d
 
 
-def _det_scaled(k, lam_ev, params, bc):
-    fn = _backend.det_free if bc is BoundaryCondition.FREE else _backend.det_dirichlet
-    d, sc = fn(int(k), float(lam_ev), params.mu, params.lam)
+def _dhat(k, lams, params, bc):
+    """Scaled determinants D_k/scale over an array of trial eigenvalues (k per point or one k)."""
+    d, sc = _backend.det_grid(k, lams, params.mu, params.lam, bc is BoundaryCondition.FREE)
     return d / sc
 
 
@@ -93,88 +93,117 @@ def _scan_step(lam, params):
     wavenumber, i.e. 2*pi*sqrt(c*Lambda) in the eigenvalue for speed c.
     """
     rho = (1.0 / (2.0 * math.pi)) * (
-        1.0 / math.sqrt(params.mu * lam) + 1.0 / math.sqrt(params.pressure_speed2 * lam)
+        1.0 / np.sqrt(params.mu * lam) + 1.0 / np.sqrt(params.pressure_speed2 * lam)
     )
     return 0.25 / rho
 
 
-def _grid(params, lam_lo, lam_hi, halvings):
-    pts = [lam_lo]
-    lam = lam_lo
-    factor = 0.5**halvings
-    while lam < lam_hi:
-        lam = lam + factor * _scan_step(lam, params)
-        pts.append(min(lam, lam_hi))
-    return np.array(pts)
+def _scan_floor(ks, params):
+    """Scan start per angular mode: below the Rayleigh floor mu*w1*k^2 (no
+    eigenvalue sits under it) for k >= 2."""
+    ks = np.asarray(ks, dtype=float)
+    w1 = rayleigh_root(params.alpha).w1
+    floor = np.where(ks >= 2, 0.45 * params.mu * w1 * ks * ks, 0.0)
+    return np.maximum(1e-3 * min(params.mu, params.pressure_speed2), floor)
 
 
-def _bisect(k, lo, hi, params, bc):
-    f = lambda lam: _det_scaled(k, lam, params, bc)
-    flo = f(lo)
-    a, b = lo, hi
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) <= _BISECT_REL_TOL * m:
-            return m
-        if flo * fm < 0.0:
-            b = m
-        else:
-            a, flo = m, fm
-    return 0.5 * (a + b)
+def _grids(params, lam_lo, lam_hi, halvings):
+    """Scan grids of several modes, stepped in lockstep from their starts lam_lo.
 
-
-def _scan_angular_mode(k, params, bc, lambda_max, halvings=0):
-    """Roots of D_k in (0, lambda_max]; returns list of (lambda, residual).
-
-    The scan starts below the mode's Rayleigh floor mu*w1*k^2 (no eigenvalue
-    sits under it) and refuses to certify roots where both Bessel factors
-    have underflowed (the determinant is exponentially small but nonzero
-    there, so a 0.0 sample carries no sign information).
+    Returns (points, owner): every mode's grid ascending and contiguous, and
+    the index into lam_lo of the mode each point belongs to.
     """
-    lam_lo = 1e-3 * min(params.mu, params.pressure_speed2)
-    if k >= 2:
-        w1 = rayleigh_root(params.alpha).w1
-        lam_lo = max(lam_lo, 0.45 * params.mu * w1 * k * k)
-    if lam_lo >= lambda_max:
-        return []
-    grid = _grid(params, lam_lo, lambda_max, halvings)
-    d, sc = _backend.det_grid(int(k), grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
+    factor = 0.5**halvings
+    owner = np.arange(lam_lo.size)
+    lam = np.asarray(lam_lo, dtype=float)
+    pts, owners = [lam], [owner]
+    while True:
+        keep = lam < lam_hi
+        owner, lam = owner[keep], lam[keep]
+        if not owner.size:
+            break
+        lam = lam + factor * _scan_step(lam, params)
+        pts.append(np.minimum(lam, lam_hi))
+        owners.append(owner)
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return np.concatenate(pts)[order], owner[order]
+
+
+@dataclass(frozen=True)
+class _ScanPass:
+    """Root brackets found by one scan pass over several angular modes.
+
+    Entry i brackets one root of mode ``k[i]`` in [lo[i], hi[i]], where the
+    scaled determinant takes the values flo[i], fhi[i]; lo == hi marks a root
+    already located exactly.  ``counts`` holds the roots per scanned mode.
+    """
+
+    k: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    flo: np.ndarray
+    fhi: np.ndarray
+    counts: np.ndarray
+
+    def brackets_of(self, ks):
+        """(k, lo, hi, flo, fhi) of the entries that belong to the modes ks."""
+        sel = np.isin(self.k, ks)
+        return self.k[sel], self.lo[sel], self.hi[sel], self.flo[sel], self.fhi[sel]
+
+
+def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
+    """One scan pass over the angular modes ks in (0, lambda_max], at step 0.5**halvings.
+
+    Every mode's grid starts below its Rayleigh floor, and all grids go
+    through one determinant evaluation.  Roots are counted from sign changes
+    (plus exact zeros and resolved near-double dips) without refining them.
+    A root is not certified where both Bessel factors have underflowed (the
+    determinant is exponentially small but nonzero there, so a 0.0 sample
+    carries no sign information).
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    grid, owner = _grids(params, _scan_floor(ks, params), lambda_max, halvings)
+    d, sc = _backend.det_grid(ks[owner], grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
     dhat = d / sc
     alive = sc > 1e-200
-    roots = []
-    for i in range(len(grid) - 1):
-        if not (alive[i] and alive[i + 1]):
-            continue
-        if dhat[i] == 0.0:
-            roots.append(grid[i])
-        elif dhat[i] * dhat[i + 1] < 0.0:
-            roots.append(_bisect(k, grid[i], grid[i + 1], params, bc))
-    if alive[-1] and dhat[-1] == 0.0:
-        roots.append(grid[-1])
+    same = owner[:-1] == owner[1:]
+    pair = same & alive[:-1] & alive[1:]
+    exact = pair & (dhat[:-1] == 0.0)
+    last = np.flatnonzero(np.append(~same, True))
+    last = last[alive[last] & (dhat[last] == 0.0)]
+    i_exact = np.concatenate([np.flatnonzero(exact), last])
+    i_cross = np.flatnonzero(pair & ~exact & (dhat[:-1] * dhat[1:] < 0.0))
+    rows = [  # (owner, lo, hi, flo, fhi) of every root
+        (owner[i_exact], grid[i_exact], grid[i_exact], np.zeros(i_exact.size), np.zeros(i_exact.size)),
+        (owner[i_cross], grid[i_cross], grid[i_cross + 1], dhat[i_cross], dhat[i_cross + 1]),
+    ]
     # near-double roots: interior |D| minima below threshold without a sign
     # change get a deflated search (quadratic model of the dip)
-    for i in range(1, len(grid) - 1):
-        if (
-            abs(dhat[i]) < _NEAR_DOUBLE_SCALE
-            and abs(dhat[i]) < abs(dhat[i - 1])
-            and abs(dhat[i]) <= abs(dhat[i + 1])
-            and dhat[i - 1] * dhat[i] > 0.0
-            and dhat[i] * dhat[i + 1] > 0.0
-        ):
-            extra = _deflated_pair(k, grid[i - 1], grid[i], grid[i + 1], params, bc)
-            roots.extend(extra)
-    roots.sort()
-    out = []
-    for r in roots:
-        resid = abs(_det_scaled(k, r, params, bc))
-        out.append((r, resid))
-    return out
+    mid = np.abs(dhat[1:-1])
+    dips = 1 + np.flatnonzero(
+        same[:-1] & same[1:]
+        & (mid < _NEAR_DOUBLE_SCALE)
+        & (mid < np.abs(dhat[:-2]))
+        & (mid <= np.abs(dhat[2:]))
+        & (dhat[:-2] * dhat[1:-1] > 0.0)
+        & (dhat[1:-1] * dhat[2:] > 0.0)
+    )
+    for i in dips:
+        k = int(ks[owner[i]])
+        for lo, hi, flo, fhi in _deflated_pair(k, grid[i - 1], grid[i + 1], dhat[i - 1], dhat[i + 1], params, bc):
+            rows.append(([owner[i]], [lo], [hi], [flo], [fhi]))
+    own, lo, hi, flo, fhi = (np.concatenate(col) for col in zip(*rows))
+    return _ScanPass(ks[own], lo, hi, flo, fhi, np.bincount(own, minlength=ks.size))
 
 
-def _deflated_pair(k, a, m, b, params, bc):
-    """Resolve a non-sign-changing dip: either a missed pair or a true double root."""
-    f = lambda lam: _det_scaled(k, lam, params, bc)
+def _deflated_pair(k, a, b, fa, fb, params, bc):
+    """Resolve a non-sign-changing dip on [a, b]: a missed pair or a true double root.
+
+    Returns the dip's root brackets as (lo, hi, flo, fhi) rows, lo == hi for
+    a tangent double root located at the |D| minimum.
+    """
+    f = lambda lam: float(_dhat(k, [lam], params, bc)[0])
     # golden-section refine of the |D| minimum
     lo, hi = a, b
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -194,31 +223,27 @@ def _deflated_pair(k, a, m, b, params, bc):
             break
     xm = 0.5 * (lo + hi)
     fm = f(xm)
-    side = f(a)
-    if side * fm < 0.0:
+    if fa * fm < 0.0:
         # the dip does cross: a missed pair of simple roots
-        return [_bisect(k, a, xm, params, bc), _bisect(k, xm, b, params, bc)]
+        return [(a, xm, fa, fm), (xm, b, fm, fb)]
     if abs(fm) <= _RESIDUAL_REL:
         # tangent double root
-        return [xm, xm]
+        return [(xm, xm, 0.0, 0.0)] * 2
     return []
 
 
-def _k0_family_tag(lam_ev, params, bc):
-    wn = WaveNumbers.from_eigenvalue(lam_ev, params)
+def _k0_family_tags(lams, params, bc):
+    """compressional_k0 / shear_k0 for k = 0 roots: the Bessel factor that vanishes."""
+    p = np.sqrt(lams / params.pressure_speed2)
+    s = np.sqrt(lams / params.mu)
+    t = _backend.jn_table(1, np.concatenate([p, s]))
+    n = p.size
     if bc is BoundaryCondition.DIRICHLET:
-        comp = abs(_backend.bessel_j_kernel(1, wn.p))
-        shear = abs(_backend.bessel_j_kernel(1, wn.s))
+        comp, shear = np.abs(t[1, :n]), np.abs(t[1, n:])
     else:
-        alpha = params.alpha
-        comp = abs(
-            wn.p * _backend.bessel_j_kernel(0, wn.p)
-            - 2.0 * alpha * _backend.bessel_j_kernel(1, wn.p)
-        )
-        shear = abs(
-            wn.s * _backend.bessel_j_kernel(0, wn.s) - 2.0 * _backend.bessel_j_kernel(1, wn.s)
-        )
-    return "compressional_k0" if comp < shear else "shear_k0"
+        comp = np.abs(p * t[0, :n] - 2.0 * params.alpha * t[1, :n])
+        shear = np.abs(s * t[0, n:] - 2.0 * t[1, n:])
+    return np.where(comp < shear, "compressional_k0", "shear_k0")
 
 
 def _active_k_max(params, bc, lambda_max, k_max):
@@ -242,15 +267,17 @@ def disk_modes_potential(
     bc: BoundaryCondition,
     k_max: int = 60,
     lambda_max: float = 1e4,
-    n_threads: int | None = None,
 ) -> list[DiskMode]:
     """All determinant roots up to the completeness cutoff, as tagged modes.
 
-    Each angular scan runs twice (the verification pass halves the step) and
-    keeps halving, up to six times, until the root count is stable.  Free
-    spectra include the three rigid-motion zero modes.  When the requested
-    lambda_max would need angular modes beyond k_max, the scan cutoff drops
-    to the bound below which the truncated union is provably complete.
+    Every angular mode is scanned twice (the verification pass halves the
+    step) and keeps halving, up to six times, until its root count is
+    stable; each pass scans all still-unsettled modes at once.  Only the
+    accepted pass of each mode is refined, all its brackets in lockstep.
+    Free spectra include the three rigid-motion zero modes.  When the
+    requested lambda_max would need angular modes beyond k_max, the scan
+    cutoff drops to the bound below which the truncated union is provably
+    complete.
     """
     _check_alpha(params)
     if k_max > 60:
@@ -258,41 +285,42 @@ def disk_modes_potential(
     if lambda_max > 1e5:
         raise ParameterDomainError(f"lambda_max capped at 1e5, got {lambda_max}")
     k_cap, lambda_max = _active_k_max(params, bc, lambda_max, k_max)
-    ks = range(k_cap + 1)
+    pending = np.arange(k_cap + 1)
+    pending = pending[_scan_floor(pending, params) < lambda_max]
 
-    def scan_stable(k):
-        prev = _scan_angular_mode(k, params, bc, lambda_max, halvings=0)
-        for h in range(1, _MAX_STEP_HALVINGS + 1):
-            cur = _scan_angular_mode(k, params, bc, lambda_max, halvings=h)
-            if len(cur) == len(prev):
-                return cur
-            prev = cur
-        return prev
+    # (k, lo, hi, flo, fhi) of the accepted pass of every mode
+    accepted = [(np.empty(0, dtype=np.int64),) + (np.empty(0),) * 4]
+    if pending.size:
+        counts = _scan_angular_mode(pending, params, bc, lambda_max, halvings=0).counts
+    for h in range(1, _MAX_STEP_HALVINGS + 1):
+        if not pending.size:
+            break
+        cur = _scan_angular_mode(pending, params, bc, lambda_max, halvings=h)
+        settled = (cur.counts == counts) | (h == _MAX_STEP_HALVINGS)
+        accepted.append(cur.brackets_of(pending[settled]))
+        pending, counts = pending[~settled], cur.counts[~settled]
 
-    n_threads = n_threads or int(os.environ.get("ELASTICA_THREADS", "1"))
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_k = list(pool.map(scan_stable, ks))
-    else:
-        per_k = [scan_stable(k) for k in ks]
+    kk, lo, hi, flo, fhi = (np.concatenate(col) for col in zip(*accepted))
+    roots = refine_brackets(lambda x, i: _dhat(kk[i], x, params, bc), lo, hi, flo, fhi, _BISECT_REL_TOL)
+    resid = np.abs(_dhat(kk, roots, params, bc))
+    order = np.lexsort((roots, kk))
+    kk, roots, resid = kk[order], roots[order], resid[order]
+    tags = np.full(roots.size, "coupled", dtype=object)
+    tags[kk == 0] = _k0_family_tags(roots[kk == 0], params, bc)
 
     modes = []
     if bc is BoundaryCondition.FREE:
         modes.append(DiskMode(k=0, family_tag="rigid", lambda_ev=0.0, multiplicity=3, determinant_residual=0.0))
-    for k, roots in zip(ks, per_k):
-        for lam_ev, resid in roots:
-            tag = _k0_family_tag(lam_ev, params, bc) if k == 0 else "coupled"
-            modes.append(
-                DiskMode(
-                    k=k,
-                    family_tag=tag,
-                    lambda_ev=lam_ev,
-                    multiplicity=1 if k == 0 else 2,
-                    determinant_residual=resid,
-                )
+    for k, lam_ev, res, tag in zip(kk.tolist(), roots.tolist(), resid.tolist(), tags):
+        modes.append(
+            DiskMode(
+                k=k,
+                family_tag=str(tag),
+                lambda_ev=lam_ev,
+                multiplicity=1 if k == 0 else 2,
+                determinant_residual=res,
             )
+        )
     modes.sort(key=lambda m: m.lambda_ev)
     return modes
 
@@ -340,10 +368,7 @@ class PdeCheck:
 
 def _mode_amplitudes(k, wn, params, bc):
     """Nontrivial (A, B) from the boundary matrix null space (complex form)."""
-    jp = _backend.bessel_j_kernel(k, wn.p)
-    jpp = _backend.bessel_j_prime_kernel(k, wn.p)
-    js = _backend.bessel_j_kernel(k, wn.s)
-    jsp = _backend.bessel_j_prime_kernel(k, wn.s)
+    (jp, js), (jpp, jsp) = _backend.jk_pairs(k, [wn.p, wn.s])
     if bc is BoundaryCondition.DIRICHLET:
         row = (wn.p * jpp, 1j * k * js)
         alt = (1j * k * jp, -wn.s * jsp)
@@ -359,21 +384,10 @@ def _mode_amplitudes(k, wn, params, bc):
 
 
 def _profiles(k, wn, r):
-    """J_k and J_k' at p*r and s*r over the grid, one sequence pass per point."""
-    n = max(k + 1, 1)
-    jp = np.empty_like(r)
-    jpp = np.empty_like(r)
-    js = np.empty_like(r)
-    jsp = np.empty_like(r)
-    buf = np.empty(n + 1)
-    for i, ri in enumerate(r):
-        _backend.jn_seq(n, wn.p * ri, buf)
-        jp[i] = buf[k]
-        jpp[i] = -buf[1] if k == 0 else 0.5 * (buf[k - 1] - buf[k + 1])
-        _backend.jn_seq(n, wn.s * ri, buf)
-        js[i] = buf[k]
-        jsp[i] = -buf[1] if k == 0 else 0.5 * (buf[k - 1] - buf[k + 1])
-    return jp, jpp, js, jsp
+    """J_k and J_k' at p*r and s*r over the grid, from one table."""
+    j, jd = _backend.jk_pairs(k, np.concatenate([wn.p * r, wn.s * r]))
+    n = r.size
+    return j[:n], jd[:n], j[n:], jd[n:]
 
 
 _D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0

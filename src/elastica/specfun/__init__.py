@@ -2,16 +2,18 @@
 
 Bessel J and derivatives, Bessel zeros, Gamma, 1-D quadrature with
 endpoint-singular support, bracketed root finding, and circle contour
-quadrature.  The Bessel/determinant kernels run from a compiled extension
-when available (``COMPILED`` tells you which backend is active).
+quadrature.  The Bessel/determinant kernels are numpy code that works on a
+whole array of arguments at once (``_backend``); there is no compiled
+extension, and ``COMPILED`` is always False.
 """
 
-from ._backend import COMPILED
 from .bessel import bessel_j, bessel_j_prime, bessel_j_sequence, bessel_zeros
 from .contour import ContourResult, ContourSpec, contour_integral, enclosing_contour
 from .gammafn import gamma_fn
 from .quadrature import IntegrationResult, QuadratureSpec, Scheme, integrate
 from .roots import find_root
+
+COMPILED = False  # run records name the kernel backend; numpy is the only one
 
 __all__ = [
     "COMPILED",

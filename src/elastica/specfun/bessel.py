@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import RangeError
 from . import _backend
-from .roots import find_root
+from .roots import refine_brackets
 
 _MAX_ORDER = 200
 _MAX_ARG = 1e6
@@ -24,24 +24,22 @@ def _check(k: int, x: float):
 def bessel_j(k: int, x: float) -> float:
     """J_k(x) for integer k >= 0, 0 <= x <= 1e6."""
     _check(k, x)
-    return _backend.bessel_j_kernel(int(k), float(x))
+    return float(_backend.jn_table(int(k), [float(x)])[k, 0])
 
 
 def bessel_j_prime(k: int, x: float) -> float:
     """J_k'(x) via J_k' = (J_{k-1} - J_{k+1})/2, with J_0' = -J_1."""
     _check(k, x)
-    return _backend.bessel_j_prime_kernel(int(k), float(x))
+    return float(_backend.jk_pairs(int(k), [float(x)])[1][0])
 
 
 def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     """Array [J_0(x), ..., J_nmax(x)] in one backward-recurrence pass."""
     _check(nmax, x)
-    out = np.empty(nmax + 1)
-    _backend.jn_seq(int(nmax), float(x), out)
-    return out
+    return _backend.jn_table(int(nmax), [float(x)]).ravel()
 
 
-def _mcmahon(k: int, i: int) -> float:
+def _mcmahon(k: int, i: np.ndarray) -> np.ndarray:
     mu = 4.0 * k * k
     beta = (i + 0.5 * k - 0.25) * math.pi
     return (
@@ -51,45 +49,51 @@ def _mcmahon(k: int, i: int) -> float:
     )
 
 
+def _sign_grid_brackets(k: int, x0: float, need: int):
+    """The first ``need`` sign-change brackets of J_k on the unit-step grid from x0.
+
+    Zeros of J_k are more than 3 apart, so no unit step holds two of them.
+    The grid is evaluated in blocks that double until enough brackets are found.
+    """
+    jk = lambda x: _backend.jn_table(k, x)[k]
+    x = np.array([x0])
+    f = jk(x)
+    span = max(8.0, float(_mcmahon(k, np.array([need]))[0]) - x0 + 4.0)
+    while True:
+        x = np.concatenate([x, x[-1] + np.arange(1.0, math.ceil(span) + 1.0)])
+        f = np.concatenate([f, jk(x[f.size:])])
+        cross = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+        if cross.size >= need:
+            cross = cross[:need]
+            return x[cross], x[cross + 1], f[cross], f[cross + 1]
+        span *= 2.0
+
+
 def bessel_zeros(k: int, m: int) -> np.ndarray:
     """First m positive zeros of J_k, ascending.
 
-    March with unit-step sign scans near the turning point, switch to
-    McMahon-seeded brackets once the expansion is reliable.  Every returned
-    zero is Newton-polished.
+    Zeros below the McMahon range come from sign changes on a unit-step
+    grid; from zero max(20, 2k) on, each is bracketed by its McMahon
+    estimate +- 0.6 (all of them from the grid if any such bracket lacks a
+    sign change).  All brackets are refined in lockstep and every zero is
+    Newton-polished.
     """
     if m < 0 or m > 10_000:
         raise RangeError(f"zero count must lie in [0, 10000], got {m}")
     _check(k, 1.0)
-    f = lambda x: _backend.bessel_j_kernel(k, x)
-    fp = lambda x: _backend.bessel_j_prime_kernel(k, x)
-    zeros = np.empty(m)
-    count = 0
-    x = 0.5 if k == 0 else float(k) + 0.3  # J_k > 0 on (0, j_{k,1})
-    mcmahon_from = max(20, 2 * k)
-    while count < m:
-        i = count + 1
-        if i >= mcmahon_from:
-            g = _mcmahon(k, i)
-            lo, hi = g - 0.6, g + 0.6
-            if f(lo) * f(hi) < 0.0:
-                r = find_root(f, lo, hi, tol=1e-14, fprime=fp)
-                r -= f(r) / fp(r)
-                zeros[count] = r
-                count += 1
-                x = r + 0.5
-                continue
-        fx = f(x)
-        step = 1.0
-        while True:
-            x2 = x + step
-            fx2 = f(x2)
-            if fx * fx2 < 0.0:
-                r = find_root(f, x, x2, tol=1e-14, fprime=fp)
-                r -= f(r) / fp(r)
-                zeros[count] = r
-                count += 1
-                x = r + 0.5
-                break
-            x, fx = x2, fx2
-    return zeros
+    if m == 0:
+        return np.empty(0)
+    x0 = 0.5 if k == 0 else float(k) + 0.3  # J_k > 0 on (0, j_{k,1})
+    n_grid = min(m, max(20, 2 * k) - 1)
+    g = _mcmahon(k, np.arange(n_grid + 1, m + 1, dtype=float))
+    ends = _backend.jn_table(k, np.concatenate([g - 0.6, g + 0.6]))[k]
+    f_lo, f_hi = ends[: g.size], ends[g.size :]
+    lo, hi, flo, fhi = _sign_grid_brackets(k, x0, n_grid)
+    if np.all(f_lo * f_hi < 0.0) and (g.size == 0 or hi[-1] < g[0] - 0.6):
+        lo, hi = np.concatenate([lo, g - 0.6]), np.concatenate([hi, g + 0.6])
+        flo, fhi = np.concatenate([flo, f_lo]), np.concatenate([fhi, f_hi])
+    else:
+        lo, hi, flo, fhi = _sign_grid_brackets(k, x0, m)
+    zeros = refine_brackets(lambda x, i: _backend.jn_table(k, x)[k], lo, hi, flo, fhi, 1e-14)
+    j, jp = _backend.jk_pairs(k, zeros)
+    return zeros - j / jp

@@ -13,6 +13,7 @@ written with ``repr`` so write -> read -> write is byte-identical.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,8 @@ class Spectrum:
         n = self.eigenvalues.size
         if self.multiplicities.size != n or len(self.mode_tags) != n:
             raise ValueError("eigenvalues, multiplicities, mode_tags must have equal length")
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise ValueError("eigenvalues must be finite")
         if n and np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
         if n and self.eigenvalues[0] < 0:
@@ -132,7 +135,10 @@ def read_spectrum(path) -> Spectrum:
             parts = line.split(",")
             if len(parts) != 4:
                 raise SpectrumIOError(f"bad row: {line!r}")
-            rows.append((float(parts[1]), int(parts[2]), parts[3]))
+            ev = float(parts[1])
+            if not math.isfinite(ev):
+                raise SpectrumIOError(f"non-finite eigenvalue in row: {line!r}")
+            rows.append((ev, int(parts[2]), parts[3]))
     missing = [k for k in _REQUIRED_KEYS if k not in meta]
     if missing:
         raise SpectrumIOError(f"missing preamble keys: {missing}")

@@ -183,3 +183,36 @@ def test_gamma_domain_errors():
         gamma_fn(-2.5)
     with pytest.raises(ParameterDomainError):
         gamma_fn(51.0)
+
+
+def test_jn_table_batch_equals_points_alone():
+    # one batch mixes x = 0, the power series (x <= 0.5), Miller points that
+    # share one start order, and Hankel points; each column must match the
+    # point evaluated on its own
+    from elastica.specfun._backend import jn_table
+
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 0.5, 5), rng.uniform(0.5, 24.0, 8),
+                         [24.999, 25.0, 70.0], rng.uniform(100.0, 3e3, 6), [9.9e5]])
+    for nmax in (0, 1, 7, 40, 62):
+        batch = jn_table(nmax, xs)
+        assert batch.shape == (nmax + 1, xs.size)
+        for i, x in enumerate(xs):
+            alone = jn_table(nmax, [x])[:, 0]
+            scale = np.max(np.abs(alone))
+            assert np.max(np.abs(batch[:, i] - alone)) <= 1e-14 * scale, (nmax, x)
+
+
+def test_det_grid_order_per_point_equals_one_order_at_a_time():
+    from elastica.specfun._backend import det_grid
+
+    rng = np.random.default_rng(5)
+    ks = rng.integers(0, 61, 300)
+    lams = rng.uniform(0.01, 3e3, 300)
+    for free in (False, True):
+        d, sc = det_grid(ks, lams, 1.0, 1.0, free)
+        for k in np.unique(ks):
+            sel = ks == k
+            dk, sk = det_grid(int(k), lams[sel], 1.0, 1.0, free)
+            assert np.all(np.abs(d[sel] - dk) <= 1e-14 * sk)
+            assert np.all(np.abs(sc[sel] - sk) <= 1e-14 * sk)

@@ -211,14 +211,6 @@ def test_discriminator_fit_on_potential_spectrum():
     )
 
 
-def test_threads_env_deterministic(monkeypatch):
-    base = disk_spectrum_potential(P11, BC.DIRICHLET, lambda_max=80.0)
-    monkeypatch.setenv("ELASTICA_THREADS", "3")
-    threaded = disk_spectrum_potential(P11, BC.DIRICHLET, lambda_max=80.0)
-    assert np.array_equal(base.eigenvalues, threaded.eigenvalues)
-    assert np.array_equal(base.multiplicities, threaded.multiplicities)
-
-
 def test_pde_residual_homogeneity():
     # u(sqrt(2) x) is an eigenfunction of the same operator with 2*Lambda on
     # the shrunk disk; the scan of the scaled problem reproduces the mode and
@@ -237,3 +229,24 @@ def test_pde_residual_homogeneity():
     base = verify_mode_pde(m0, P11, BC.DIRICHLET)
     shrunk = verify_mode_pde(scaled, P11, BC.DIRICHLET, r_max=1.0 / math.sqrt(2.0))
     assert shrunk.pde_residual <= 10.0 * max(base.pde_residual, 1e-9)
+
+
+def test_scan_pass_resolves_a_tangent_double_root(monkeypatch):
+    # a double root next to a grid point: the determinant keeps its sign on
+    # the grid and only dips there; the pass must count the root twice and
+    # locate it without a bracket to refine
+    from elastica import diskmodes
+    from elastica.specfun import _backend
+
+    grid, _ = diskmodes._grids(P11, diskmodes._scan_floor([1], P11), 60.0, 0)
+    r = grid[5] - 1e-4
+
+    def fake_det_grid(k, lams, mu, lam, free):
+        lams = np.asarray(lams, dtype=float)
+        return (lams - r) ** 2, np.ones_like(lams)
+
+    monkeypatch.setattr(_backend, "det_grid", fake_det_grid)
+    scan = diskmodes._scan_angular_mode([1], P11, BC.DIRICHLET, 60.0, halvings=0)
+    assert list(scan.counts) == [2]
+    assert np.array_equal(scan.lo, scan.hi)
+    assert np.allclose(scan.lo, r, rtol=1e-6)

@@ -103,6 +103,22 @@ def test_find_root_bessel_zero():
     assert abs(root - 2.404825557695773) < 1e-12
 
 
+def test_refine_brackets_lockstep():
+    # several functions refined together: a smooth root, a flat-sided one on
+    # which plain false position stalls, a root at a bracket end and a
+    # bracket of zero width
+    from elastica.specfun.roots import refine_brackets
+
+    funcs = [np.cos, lambda x: x**9 - 0.25, lambda x: x - 2.0, np.sin]
+    f = lambda x, i: np.array([funcs[j](xj) for xj, j in zip(x, i)])
+    a = np.array([1.0, 0.0, 2.0, 0.3])
+    b = np.array([2.0, 1.0, 3.0, 0.3])
+    idx = np.arange(a.size)
+    roots = refine_brackets(f, a, b, f(a, idx), f(b, idx), 1e-12)
+    expect = [math.pi / 2, 0.25 ** (1 / 9), 2.0, 0.3]
+    assert np.allclose(roots, expect, rtol=1e-12, atol=0.0)
+
+
 def test_find_root_bracket_error():
     with pytest.raises(BracketError):
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)

@@ -78,3 +78,22 @@ def test_merge_close():
     reps, mults = merge_close(vals, rel_gap=1e-6)
     assert list(mults) == [2, 1, 1]
     assert abs(reps[0] - (2.0 + 1e-8) / 2) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_eigenvalues_rejected(bad):
+    with pytest.raises(ValueError):
+        Spectrum(UNIT_DISK, BC.FREE, LameParams(1, 1), np.array([1.0, bad]),
+                 np.array([1, 1]), ["a", "b"], 10.0, Method.FEM)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_spectrum_rejects_non_finite_rows(tmp_path, bad):
+    # a hand-edited or foreign file: the writer never produces these rows
+    p = tmp_path / "a.csv"
+    write_spectrum(_sample(), p)
+    text = p.read_text().replace("27.3", bad)
+    assert bad in text
+    p.write_text(text)
+    with pytest.raises(SpectrumIOError):
+        read_spectrum(p)
