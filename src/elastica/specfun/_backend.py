@@ -32,8 +32,9 @@ _PIO4_LO = (0.0, 3.061616997868383e-17, 6.123233995736766e-17, 9.184850993605148
             1.2246467991473532e-16, 1.5308084989341916e-16, 1.8369701987210297e-16,
             2.143131898507868e-16)
 _ASYM_CUT = 25.0
-# table cells (orders x arguments) per det_grid chunk: bounds the memory of a
-# finely stepped scan, whatever its length
+# cells (rows x arguments) of one det_grid chunk's largest array: its Bessel
+# table has kmax + 2 rows, the Hankel temporaries 41, so a chunk's arrays stay
+# near 4 MB each however long the grid is
 _CHUNK_CELLS = 1 << 19
 
 
@@ -160,7 +161,8 @@ def det_grid(k, lams, mu: float, lam: float, free: bool):
     n = lams.size
     d = np.empty(n)
     sc = np.empty(n)
-    step = max(1, _CHUNK_CELLS // (2 * (int(k.max(initial=0)) + 3)))
+    # two arguments (p and s) per point
+    step = max(1, _CHUNK_CELLS // (2 * max(int(k.max(initial=0)) + 3, 41)))
     for lo in range(0, n, step):
         sl = slice(lo, lo + step)
         d[sl], sc[sl] = _det_chunk(k[sl], lams[sl], mu, lam, free)

@@ -72,11 +72,8 @@ def _sign_grid_brackets(k: int, x0: float, need: int):
 def bessel_zeros(k: int, m: int) -> np.ndarray:
     """First m positive zeros of J_k, ascending.
 
-    Zeros below the McMahon range come from sign changes on a unit-step
-    grid; from zero max(20, 2k) on, each is bracketed by its McMahon
-    estimate +- 0.6 (all of them from the grid if any such bracket lacks a
-    sign change).  All brackets are refined in lockstep and every zero is
-    Newton-polished.
+    Each zero is bracketed by a sign change on a unit-step grid; all
+    brackets are refined in lockstep and every zero is Newton-polished.
     """
     if m < 0 or m > 10_000:
         raise RangeError(f"zero count must lie in [0, 10000], got {m}")
@@ -84,16 +81,7 @@ def bessel_zeros(k: int, m: int) -> np.ndarray:
     if m == 0:
         return np.empty(0)
     x0 = 0.5 if k == 0 else float(k) + 0.3  # J_k > 0 on (0, j_{k,1})
-    n_grid = min(m, max(20, 2 * k) - 1)
-    g = _mcmahon(k, np.arange(n_grid + 1, m + 1, dtype=float))
-    ends = _backend.jn_table(k, np.concatenate([g - 0.6, g + 0.6]))[k]
-    f_lo, f_hi = ends[: g.size], ends[g.size :]
-    lo, hi, flo, fhi = _sign_grid_brackets(k, x0, n_grid)
-    if np.all(f_lo * f_hi < 0.0) and (g.size == 0 or hi[-1] < g[0] - 0.6):
-        lo, hi = np.concatenate([lo, g - 0.6]), np.concatenate([hi, g + 0.6])
-        flo, fhi = np.concatenate([flo, f_lo]), np.concatenate([fhi, f_hi])
-    else:
-        lo, hi, flo, fhi = _sign_grid_brackets(k, x0, m)
+    lo, hi, flo, fhi = _sign_grid_brackets(k, x0, m)
     zeros = refine_brackets(lambda x, i: _backend.jn_table(k, x)[k], lo, hi, flo, fhi, 1e-14)
     j, jp = _backend.jk_pairs(k, zeros)
     return zeros - j / jp
