@@ -16,7 +16,7 @@ import numpy as np
 
 from .coeffs import Theory, boundary_coefficient, weyl_a
 from .errors import ParameterDomainError, TailBoundError, WindowError
-from .params import DomainGeometry, LameParams
+from .params import DomainGeometry
 from .specfun import gamma_fn
 from .spectrum import Spectrum
 
@@ -47,46 +47,26 @@ class RemainderSeries:
     cesaro: np.ndarray  # (1/lambda) int_0^lambda R
 
 
-def _cesaro_integral(spectrum: Spectrum, a_coeff: float, geometry: DomainGeometry, lams):
-    """Exact int_0^lambda R(s) ds for step-function N (piecewise closed form)."""
-    av = a_coeff * geometry.volume
-    L = geometry.boundary_length
-    taus = spectrum.eigenvalues
-    cums = np.concatenate([[0], np.cumsum(spectrum.multiplicities)])
-
-    def anti(nj, s):
-        return (2.0 * nj * math.sqrt(s) - (2.0 / 3.0) * av * s**1.5) / L
-
-    out = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        total = 0.0
-        lo = 0.0
-        for j, tau in enumerate(taus):
-            hi = min(tau, lam)
-            if hi > lo:
-                total += anti(cums[j], hi) - anti(cums[j], lo)
-                lo = hi
-            if tau >= lam:
-                break
-        if lo < lam:
-            total += anti(cums[len(taus)], lam) - anti(cums[len(taus)], lo)
-        out[i] = total
-    return out
-
-
 def remainder_series(series: CountingSeries, a_coeff: float, geometry: DomainGeometry) -> RemainderSeries:
     """R(lambda) = (N - a Vol lambda) / (Vol_1 sqrt(lambda)) plus its Cesaro mean.
 
-    The running integral mean suppresses the step oscillation of N; it is
-    evaluated in closed form between eigenvalues, not by sampling.
+    The running integral mean suppresses the step oscillation of N.  For step
+    N it is exact in closed form: int_0^lambda N(s) s^{-1/2} ds
+    = 2 (N(lambda) sqrt(lambda) - sum_{tau < lambda} mult sqrt(tau)).
     """
     grid = series.grid
     if np.any(grid <= 0):
         raise ParameterDomainError("remainder grid must be positive")
     av = a_coeff * geometry.volume
-    raw = (series.values - av * grid) / (geometry.boundary_length * np.sqrt(grid))
-    ces = _cesaro_integral(series.source, a_coeff, geometry, grid) / grid
-    return RemainderSeries(grid=grid, raw=raw, cesaro=ces)
+    L = geometry.boundary_length
+    root = np.sqrt(grid)
+    raw = (series.values - av * grid) / (L * root)
+    sp = series.source
+    idx = np.searchsorted(sp.eigenvalues, grid, side="left")  # tau < lambda, as in N
+    counts = np.concatenate([[0], np.cumsum(sp.multiplicities)])[idx]
+    root_sums = np.concatenate([[0.0], np.cumsum(sp.multiplicities * np.sqrt(sp.eigenvalues))])[idx]
+    integral = (2.0 * (counts * root - root_sums) - (2.0 / 3.0) * av * grid * root) / L
+    return RemainderSeries(grid=grid, raw=raw, cesaro=integral / grid)
 
 
 @dataclass
@@ -108,10 +88,9 @@ def _z_values(spectrum: Spectrum, t):
     return np.exp(-np.outer(t, evs)) @ mults
 
 
-def min_admissible_t(spectrum: Spectrum, params: LameParams | None = None) -> float:
+def min_admissible_t(spectrum: Spectrum) -> float:
     """Smallest t whose truncation tail is below the declared fraction of Z."""
-    params = params or spectrum.params
-    a_coeff = weyl_a(params, 2)
+    a_coeff = weyl_a(spectrum.params, 2)
 
     def ok(t):
         z = _z_values(spectrum, np.array([t]))[0]
@@ -202,6 +181,11 @@ def fit_heat_samples(t, z) -> tuple[float, float, float, float]:
     """LS fit of Z*t = c0 + c1*sqrt(t): returns (c0, c1, residual_norm, condition)."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(z, dtype=float) * t
+    if not np.any(y):
+        raise WindowError(
+            f"heat trace is zero on the window [{t.min():g}, {t.max():g}]; "
+            "the spectrum has no eigenvalue to fit"
+        )
     X = np.column_stack([np.ones_like(t), np.sqrt(t)])
     cond = np.linalg.cond(X)
     if cond > 1e8 or len(t) < 8:
@@ -214,12 +198,7 @@ def fit_heat_samples(t, z) -> tuple[float, float, float, float]:
     return float(coef[0]), float(coef[1]), resid, float(cond)
 
 
-def fit_two_term(
-    spectrum: Spectrum,
-    model: str,
-    window=None,
-    params: LameParams | None = None,
-) -> FitReport:
+def fit_two_term(spectrum: Spectrum, model: str, window=None) -> FitReport:
     """Two-term fit of the heat trace or the counting remainder.
 
     heat: Z(t)*t against (1, sqrt(t)); estimates are the raw coefficients,
@@ -228,7 +207,7 @@ def fit_two_term(
     distances compare against both theories' closed forms; verdicts are
     only emitted when the fit residual is small enough to mean anything.
     """
-    params = params or spectrum.params
+    params = spectrum.params
     geometry = spectrum.domain
     if model == "heat":
         t = np.asarray(window) if window is not None else default_heat_window(spectrum)
@@ -323,8 +302,6 @@ class Prop71Report:
 def prop71_empirical(
     spec_dirichlet: Spectrum,
     spec_free: Spectrum,
-    geometry: DomainGeometry | None = None,
-    params: LameParams | None = None,
     tolerance: float = 0.1,
 ) -> Prop71Report:
     """Fit the boundary term of the half-sum (Z^- + Z^+)/2.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterDomainError, SingularLimitError
 from .params import BoundaryCondition, LameParams, check_dimension
-from .specfun import QuadratureSpec, Scheme, find_root, gamma_fn, integrate
+from .specfun import QuadratureSpec, find_root, gamma_fn, integrate
 
 
 class Theory(enum.Enum):
@@ -100,7 +100,7 @@ def _prefactor(params: LameParams, n: int) -> float:
     )
 
 
-_BD_QUAD = QuadratureSpec(scheme=Scheme.DOUBLE_EXPONENTIAL, rel_tol=1e-10, max_refinements=12)
+_BD_QUAD = QuadratureSpec(rel_tol=1e-10, max_refinements=12)
 
 
 def _dirichlet_integral(alpha: float, n: int) -> float:

@@ -26,10 +26,6 @@ class BracketError(ElasticaError, ValueError):
     """Root bracket does not straddle a sign change."""
 
 
-class QuadratureError(ElasticaError, ArithmeticError):
-    """Quadrature failed in a way that cannot be reported via a flagged result."""
-
-
 class DegenerateDecompositionError(ElasticaError, ArithmeticError):
     """Potential (Helmholtz) split is singular: alpha = 1 means p = s."""
 

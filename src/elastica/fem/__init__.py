@@ -44,15 +44,19 @@ __all__ = [
 ]
 
 
+# eigenvalues asked for beyond the Weyl estimate of the count below the cutoff
+_EXTRA_COUNT = 12
+
+
 def weyl_count_estimate(
-    params: LameParams, domain: DomainGeometry, lambda_max: float, bc: BoundaryCondition | None = None
+    params: LameParams, domain: DomainGeometry, lambda_max: float, bc: BoundaryCondition
 ) -> float:
     """Two-term estimate of N(lambda_max), used to size eigensolves."""
     from ..coeffs import Theory, weyl_two_term
 
     w = weyl_two_term(params, 2, Theory.LIU)
     lead = w.a * domain.volume * lambda_max
-    b = abs(w.b_minus) if bc is None else (w.b_minus if bc is BoundaryCondition.DIRICHLET else w.b_plus)
+    b = w.b_minus if bc is BoundaryCondition.DIRICHLET else w.b_plus
     est = lead + b * domain.boundary_length * np.sqrt(lambda_max)
     return max(est, 0.5 * lead)
 
@@ -63,7 +67,6 @@ def fem_extrapolated_spectrum(
     bc: BoundaryCondition,
     resolutions: list[int],
     lambda_max: float,
-    extra: int = 12,
 ) -> tuple[Spectrum, ExtrapolationResult]:
     """Richardson-extrapolated FEM spectrum below lambda_max.
 
@@ -74,7 +77,7 @@ def fem_extrapolated_spectrum(
     the cutoff, raises SolverError rather than label a truncated spectrum
     complete.
     """
-    count = int(1.15 * weyl_count_estimate(params, domain, lambda_max, bc)) + extra
+    count = int(1.15 * weyl_count_estimate(params, domain, lambda_max, bc)) + _EXTRA_COUNT
     if bc is BoundaryCondition.FREE:
         count += 3
     ex = refine_and_extrapolate(domain, params, bc, resolutions, count)
@@ -117,7 +120,6 @@ def fem_spectrum(
     bc: BoundaryCondition,
     resolution: int,
     lambda_max: float,
-    extra: int = 10,
 ) -> Spectrum:
     """FEM spectrum below lambda_max on a structured mesh.
 
@@ -128,13 +130,7 @@ def fem_spectrum(
     mesh = build_mesh(domain, resolution)
     trust = (0.5 / mesh.h) ** 2
     lam_cap = min(lambda_max, trust)
-    ops = assemble(mesh, params, bc)
-    if ops.n <= 1200:
-        sol = solve_eigs(ops, count=int(1.3 * weyl_count_estimate(params, domain, lam_cap)) + extra)
-        vals = sol.values[sol.values < lam_cap]
-    else:
-        sol = solve_eigs(ops, lambda_max=lam_cap)
-        vals = sol.values
+    vals = solve_eigs(assemble(mesh, params, bc), lambda_max=lam_cap).values
     if bc is BoundaryCondition.FREE:
         vals = np.where(np.abs(vals) < 1e-8 * max(1.0, vals.max(initial=1.0)), 0.0, vals)
         vals = np.maximum(vals, 0.0)

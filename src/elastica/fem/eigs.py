@@ -41,13 +41,14 @@ _EXTRA = 4
 _GAP_REL = 1e-6
 # values below this share of the largest one are numerically zero (rigid modes)
 _ZERO_REL = 1e-8
+# ARPACK start vectors: a failed attempt retries with the next seed
+_SEEDS = (0, 1, 2, 3, 4)
 
 
 @dataclass
 class EigResult:
     values: np.ndarray  # ascending, with multiplicity (discrete, unmerged)
     residuals: np.ndarray  # ||A x - lam M x|| / ||M x||
-    converged_count: int
     method: str
 
 
@@ -62,7 +63,7 @@ def _dense_eigs(ops: Operators, count: int | None, lambda_max: float | None) -> 
         keep = vals < lambda_max
         vals, vecs = vals[keep], vecs[:, keep]
     res = _residuals(ops, vals, vecs)
-    return EigResult(values=vals, residuals=res, converged_count=len(vals), method="dense")
+    return EigResult(values=vals, residuals=res, method="dense")
 
 
 def _residuals(ops, vals, vecs):
@@ -99,7 +100,6 @@ def solve_eigs(
     ops: Operators,
     count: int | None = None,
     lambda_max: float | None = None,
-    seed_sequence=(0, 1, 2, 3, 4),
 ) -> EigResult:
     """Eigenvalues of A x = lambda M x with residual and inertia certificates.
 
@@ -134,7 +134,7 @@ def solve_eigs(
 
     op_inv = None
     last_err = None
-    for seed in seed_sequence:
+    for seed in _SEEDS:
         if op_inv is None:
             try:
                 lu = _factor(ops, sigma)
@@ -173,5 +173,5 @@ def solve_eigs(
         if negative != below:
             last_err = f"{below} values below {tau:.6g} but inertia counts {negative} (seed {seed})"
             continue
-        return EigResult(values=vals[:take], residuals=res, converged_count=take, method="lanczos")
+        return EigResult(values=vals[:take], residuals=res, method="lanczos")
     raise SolverError(f"ARPACK failed to certify the requested set (last error: {last_err})")

@@ -10,7 +10,7 @@ extension, and ``COMPILED`` is always False.
 from .bessel import bessel_j, bessel_j_prime, bessel_j_sequence, bessel_zeros
 from .contour import ContourResult, ContourSpec, contour_integral, enclosing_contour
 from .gammafn import gamma_fn
-from .quadrature import IntegrationResult, QuadratureSpec, Scheme, integrate
+from .quadrature import IntegrationResult, QuadratureSpec, integrate
 from .roots import find_root
 
 COMPILED = False  # run records name the kernel backend; numpy is the only one
@@ -25,7 +25,6 @@ __all__ = [
     "integrate",
     "IntegrationResult",
     "QuadratureSpec",
-    "Scheme",
     "find_root",
     "contour_integral",
     "ContourResult",

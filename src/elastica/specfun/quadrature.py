@@ -1,30 +1,21 @@
-"""1-D quadrature: composite Gauss-Legendre and tanh-sinh (double exponential).
+"""1-D quadrature: tanh-sinh (double exponential).
 
-The tanh-sinh rule is the workhorse for the boundary-coefficient integrands,
-whose arctan arguments are endpoint-singular (value finite, derivative not).
+The rule suits the boundary-coefficient integrands, whose arctan arguments
+are endpoint-singular (value finite, derivative not).
 Nodes are generated from their distance to the interval endpoints so that
 integrands are never evaluated at the endpoints themselves.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ParameterDomainError
 
 
-class Scheme(enum.Enum):
-    GAUSS_LEGENDRE_COMPOSITE = "gauss_legendre_composite"
-    DOUBLE_EXPONENTIAL = "double_exponential"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    scheme: Scheme = Scheme.DOUBLE_EXPONENTIAL
     rel_tol: float = 1e-10
     max_refinements: int = 12
 
@@ -44,32 +35,6 @@ class IntegrationResult:
 
     def __float__(self):
         return self.value
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_composite(f, a, b, spec):
-    prev = None
-    evals = 0
-    panels = 1
-    for _ in range(spec.max_refinements + 1):
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        total = 0.0
-        for m, h in zip(mid, half):
-            xs = m + h * _GL_NODES
-            total += h * sum(w * f(float(x)) for x, w in zip(xs, _GL_WEIGHTS))
-            evals += xs.size
-        if prev is not None:
-            err = abs(total - prev) / max(abs(total), 1e-300)
-            if err <= spec.rel_tol:
-                return IntegrationResult(total, True, err, evals)
-        prev = total
-        panels *= 2
-    err = abs(total - prev) / max(abs(total), 1e-300) if prev is not None else math.inf
-    return IntegrationResult(total, False, err, evals)
 
 
 def _tanh_sinh_level(level):
@@ -129,7 +94,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
     Returns a flagged result; ``converged`` is False when the refinement cap
     was hit before the tolerance.  The empty interval integrates to 0.
     f must be finite on the open interval; endpoint-singular derivatives are
-    fine under the double-exponential scheme.
+    fine.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -137,6 +102,4 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
         raise ParameterDomainError(f"need a <= b, got [{a}, {b}]")
     if a == b:
         return IntegrationResult(0.0, True, 0.0, 0)
-    if spec.scheme is Scheme.GAUSS_LEGENDRE_COMPOSITE:
-        return _gl_composite(f, a, b, spec)
     return _tanh_sinh(f, a, b, spec)

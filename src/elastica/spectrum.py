@@ -13,7 +13,6 @@ written with ``repr`` so write -> read -> write is byte-identical.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +58,10 @@ class Spectrum:
             raise ValueError("Dirichlet spectrum must be strictly positive")
         if n and np.any(self.multiplicities < 1):
             raise ValueError("multiplicities must be >= 1")
+        if n and self.eigenvalues[-1] > self.lambda_max:
+            raise ValueError(
+                f"eigenvalue {self.eigenvalues[-1]!r} above the cutoff lambda_max={self.lambda_max!r}"
+            )
 
     @property
     def total_count(self) -> int:
@@ -135,10 +138,11 @@ def read_spectrum(path) -> Spectrum:
             parts = line.split(",")
             if len(parts) != 4:
                 raise SpectrumIOError(f"bad row: {line!r}")
-            ev = float(parts[1])
-            if not math.isfinite(ev):
-                raise SpectrumIOError(f"non-finite eigenvalue in row: {line!r}")
-            rows.append((ev, int(parts[2]), parts[3]))
+            try:
+                ev, mult = float(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise SpectrumIOError(f"bad row {line!r}: {exc}") from exc
+            rows.append((ev, mult, parts[3]))
     missing = [k for k in _REQUIRED_KEYS if k not in meta]
     if missing:
         raise SpectrumIOError(f"missing preamble keys: {missing}")
@@ -150,14 +154,17 @@ def read_spectrum(path) -> Spectrum:
         method = Method(meta.pop("method"))
     except ValueError as exc:
         raise SpectrumIOError(f"bad preamble: {exc}") from exc
-    return Spectrum(
-        domain=domain,
-        bc=bc,
-        params=params,
-        eigenvalues=np.array([r[0] for r in rows]),
-        multiplicities=np.array([r[1] for r in rows], dtype=int),
-        mode_tags=[r[2] for r in rows],
-        lambda_max=lambda_max,
-        method=method,
-        meta=meta,
-    )
+    try:
+        return Spectrum(
+            domain=domain,
+            bc=bc,
+            params=params,
+            eigenvalues=np.array([r[0] for r in rows]),
+            multiplicities=np.array([r[1] for r in rows], dtype=int),
+            mode_tags=[r[2] for r in rows],
+            lambda_max=lambda_max,
+            method=method,
+            meta=meta,
+        )
+    except ValueError as exc:
+        raise SpectrumIOError(f"invalid spectrum: {exc}") from exc

@@ -19,7 +19,11 @@ from elastica.asympt import (
 )
 from elastica.coeffs import weyl_a
 from elastica.errors import ParameterDomainError, TailBoundError, WindowError
-from elastica.fem import square_dirichlet_spectrum, square_neumann_lattice_spectrum
+from elastica.fem import (
+    disk_dirichlet_spectrum,
+    square_dirichlet_spectrum,
+    square_neumann_lattice_spectrum,
+)
 from elastica.params import BoundaryCondition as BC
 from elastica.params import LameParams, UNIT_SQUARE
 from elastica.spectrum import Method, Spectrum
@@ -107,6 +111,65 @@ def test_remainder_square_window():
     b = -1.0 / (2.0 * math.pi)
     assert abs(rem.cesaro[-1] - b) < 0.1 * abs(b)
 
+
+def _cesaro_integral_piecewise(spectrum, a_coeff, geometry, lams):
+    """Reference: int_0^lambda R summed interval by interval between eigenvalues."""
+    av = a_coeff * geometry.volume
+    L = geometry.boundary_length
+    taus = spectrum.eigenvalues
+    cums = np.concatenate([[0], np.cumsum(spectrum.multiplicities)])
+
+    def anti(nj, s):
+        return (2.0 * nj * math.sqrt(s) - (2.0 / 3.0) * av * s**1.5) / L
+
+    out = np.empty(len(lams))
+    for i, lam in enumerate(lams):
+        total = 0.0
+        lo = 0.0
+        for j, tau in enumerate(taus):
+            hi = min(tau, lam)
+            if hi > lo:
+                total += anti(cums[j], hi) - anti(cums[j], lo)
+                lo = hi
+            if tau >= lam:
+                break
+        if lo < lam:
+            total += anti(cums[len(taus)], lam) - anti(cums[len(taus)], lo)
+        out[i] = total
+    return out
+
+
+def _random_spectrum():
+    rng = np.random.default_rng(5)
+    values = np.unique(rng.uniform(0.5, 400.0, 300))
+    return _spectrum_from_values(values, lambda_max=401.0, mults=rng.integers(1, 5, values.size))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: square_dirichlet_spectrum(1.0, 5e3),
+        lambda: square_neumann_lattice_spectrum(1.0, 5e3),
+        lambda: disk_dirichlet_spectrum(1.0, 800.0),
+        _random_spectrum,
+    ],
+    ids=["square_dirichlet", "square_neumann", "disk_dirichlet", "random"],
+)
+def test_cesaro_closed_form_matches_piecewise_integral(make):
+    sp = make()
+    evs = sp.eigenvalues
+    first = evs[evs > 0][0]
+    grid = np.sort(np.concatenate([
+        np.linspace(0.1, 0.9, 3) * first,  # below the first (nonzero) eigenvalue
+        evs[evs > 0][::7],  # exactly on eigenvalues
+        np.linspace(first, sp.lambda_max, 41),
+        [0.5 * (evs[-1] + sp.lambda_max), sp.lambda_max],  # above the last
+    ]))
+    assert grid[-1] > evs[-1] and np.isin(evs, grid).sum() > 10
+    a_coeff = weyl_a(sp.params, 2)
+    rem = remainder_series(counting(sp, grid), a_coeff, sp.domain)
+    want = _cesaro_integral_piecewise(sp, a_coeff, sp.domain, grid) / grid
+    np.testing.assert_allclose(rem.cesaro, want, rtol=1e-12, atol=0)
 
 def test_heat_trace_singleton():
     sp = _spectrum_from_values([1.0], lambda_max=1e9)

@@ -161,6 +161,29 @@ def test_fit_truncation_violating_window_exit3(tmp_path, capsys):
     assert "lambda_max" in capsys.readouterr().err
 
 
+_PREAMBLE = ("# domain=unit_square\n# bc=dirichlet\n# mu=1.0\n# lambda=-1.0\n"
+             "# lambda_max={cut}\n# method=analytic\nindex,eigenvalue,multiplicity,mode_tag\n")
+
+
+@pytest.mark.parametrize(
+    "rows, model",
+    [
+        ("0,abc,1,x\n", "heat"),  # unparsable field
+        ("0,30.0,1,x\n1,20.0,1,y\n", "counting"),  # rows out of order
+        ("0,20.0,1,x\n1,150.0,1,y\n", "heat"),  # eigenvalue above lambda_max
+        ("", "heat"),  # no rows: the heat trace is zero on every window
+    ],
+    ids=["unparsable_field", "rows_out_of_order", "above_cutoff", "no_rows"],
+)
+def test_fit_bad_or_empty_spectrum_file_exit3(tmp_path, capsys, rows, model):
+    spath = tmp_path / "bad.csv"
+    spath.write_text(_PREAMBLE.format(cut=100.0) + rows)
+    out = tmp_path / "fit.json"
+    rc = run(["fit", "--spectrum", str(spath), "--model", model, "--out", str(out)])
+    assert rc == 3
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_verify_all_pass(tmp_path, capsys):
     out = tmp_path / "v.json"
     rc = run(["verify", "--suite", "all", "--mu", "1", "--lambda", "1", "--dim", "2",

@@ -10,7 +10,6 @@ from elastica.errors import BracketError, ParameterDomainError
 from elastica.specfun import (
     ContourSpec,
     QuadratureSpec,
-    Scheme,
     bessel_j,
     contour_integral,
     enclosing_contour,
@@ -18,8 +17,7 @@ from elastica.specfun import (
     integrate,
 )
 
-DE = QuadratureSpec(scheme=Scheme.DOUBLE_EXPONENTIAL, rel_tol=1e-12)
-GL = QuadratureSpec(scheme=Scheme.GAUSS_LEGENDRE_COMPOSITE, rel_tol=1e-12)
+DE = QuadratureSpec(rel_tol=1e-12)
 
 
 def test_empty_interval():
@@ -28,14 +26,7 @@ def test_empty_interval():
 
 
 def test_linear():
-    for spec in (DE, GL):
-        assert abs(integrate(lambda t: t, 0.0, 1.0, spec).value - 0.5) < 1e-14
-
-
-def test_gl_polynomial_exactness():
-    # composite 16-point Gauss-Legendre is exact through degree 31
-    r = integrate(lambda t: t**31, 0.0, 2.0, GL)
-    assert abs(r.value - 2.0**32 / 32.0) < 1e-12 * 2.0**32 / 32.0
+    assert abs(integrate(lambda t: t, 0.0, 1.0, DE).value - 0.5) < 1e-14
 
 
 def test_endpoint_singular_derivative():
@@ -67,7 +58,7 @@ def test_arctan_integrand_vs_riemann_oracle():
 
 
 def test_refinement_cap_flags_not_raises():
-    slow = QuadratureSpec(scheme=Scheme.DOUBLE_EXPONENTIAL, rel_tol=1e-12, max_refinements=1)
+    slow = QuadratureSpec(rel_tol=1e-12, max_refinements=1)
     r = integrate(lambda t: math.sin(103.0 * t) ** 2 / math.sqrt(t), 0.0, 1.0, slow)
     assert not r.converged
 

@@ -97,3 +97,38 @@ def test_read_spectrum_rejects_non_finite_rows(tmp_path, bad):
     p.write_text(text)
     with pytest.raises(SpectrumIOError):
         read_spectrum(p)
+
+
+def _sample_text(rows):
+    return (
+        "# domain=unit_disk\n# bc=free\n# mu=1.0\n# lambda=1.0\n# lambda_max=10.0\n"
+        "# method=fem\nindex,eigenvalue,multiplicity,mode_tag\n" + "".join(r + "\n" for r in rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0,abc,1,x"],  # unparsable eigenvalue
+        ["0,1.0,two,x"],  # unparsable multiplicity
+        ["0,2.0,1,x", "1,1.0,1,y"],  # rows out of order
+        ["0,1.0,0,x"],  # zero multiplicity
+        ["0,1.0,1,x", "1,12.0,1,y"],  # eigenvalue above lambda_max
+    ],
+    ids=["unparsable_eigenvalue", "unparsable_multiplicity", "out_of_order", "zero_multiplicity",
+         "above_cutoff"],
+)
+def test_read_spectrum_maps_bad_rows_to_spectrum_io_error(tmp_path, rows):
+    p = tmp_path / "a.csv"
+    p.write_text(_sample_text(rows))
+    with pytest.raises(SpectrumIOError):
+        read_spectrum(p)
+
+
+def test_eigenvalue_above_cutoff_rejected():
+    with pytest.raises(ValueError, match="lambda_max"):
+        Spectrum(UNIT_DISK, BC.FREE, LameParams(1, 1), np.array([1.0, 10.5]),
+                 np.array([1, 1]), ["a", "b"], 10.0, Method.FEM)
+    # the cutoff itself is not above the cutoff
+    Spectrum(UNIT_DISK, BC.FREE, LameParams(1, 1), np.array([1.0, 10.0]),
+             np.array([1, 1]), ["a", "b"], 10.0, Method.FEM)
