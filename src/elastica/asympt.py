@@ -133,28 +133,6 @@ def heat_trace(spectrum: Spectrum, t_grid) -> HeatTrace:
     return HeatTrace(t=t, values=z, tail_bounds=tails)
 
 
-def heat_trace_stieltjes(spectrum: Spectrum, t: float) -> float:
-    """Same truncated trace via summation by parts of int e^{-t L} dN.
-
-    int_0^cutoff e^{-tL} dN = e^{-t cutoff} N(cutoff) + t int_0^cutoff N e^{-tL} dL,
-    with the last integral summed exactly over the steps of N.
-    """
-    taus = spectrum.eigenvalues
-    cums = np.concatenate([[0.0], np.cumsum(spectrum.multiplicities)])
-    cutoff = spectrum.lambda_max
-    total = math.exp(-t * cutoff) * cums[-1]
-    lo = 0.0
-    acc = 0.0
-    for j, tau in enumerate(taus):
-        hi = min(tau, cutoff)
-        if hi > lo:
-            acc += cums[j] * (math.exp(-t * lo) - math.exp(-t * hi))
-            lo = hi
-    if lo < cutoff:
-        acc += cums[-1] * (math.exp(-t * lo) - math.exp(-t * cutoff))
-    return total + acc
-
-
 def default_heat_window(spectrum: Spectrum, points: int = 24, span: float = 10.0) -> np.ndarray:
     """Log-spaced t window [t_min, span*t_min]: the deepest admissible regime."""
     t0 = min_admissible_t(spectrum)

@@ -23,18 +23,10 @@ from ..spectrum import Method, Spectrum
 def _square_lattice(mu, lambda_max, include_zero):
     """mu*pi^2*(p^2+q^2) with each component doubled; p,q >= 1 or >= 0."""
     nmax = int(math.sqrt(lambda_max / (mu * math.pi**2))) + 1
-    lo = 0 if include_zero else 1
-    counts: dict[int, int] = {}
-    for p in range(lo, nmax + 1):
-        for q in range(lo, nmax + 1):
-            s = p * p + q * q
-            if mu * math.pi**2 * s <= lambda_max:
-                counts[s] = counts.get(s, 0) + 1
-    items = sorted(counts.items())
-    values = np.array([mu * math.pi**2 * s for s, _ in items])
-    mults = np.array([2 * c for _, c in items], dtype=int)
-    tags = [f"pq{s}" for s, _ in items]
-    return values, mults, tags
+    p = np.arange(0 if include_zero else 1, nmax + 1)
+    s = (p[:, None] ** 2 + p**2).ravel()
+    s, counts = np.unique(s[mu * math.pi**2 * s <= lambda_max], return_counts=True)
+    return mu * math.pi**2 * s, 2 * counts, np.char.add("pq", s.astype(str)).tolist()
 
 
 def square_dirichlet_spectrum(mu: float, lambda_max: float) -> Spectrum:
@@ -69,25 +61,20 @@ def square_neumann_lattice_spectrum(mu: float, lambda_max: float) -> Spectrum:
 def disk_dirichlet_spectrum(mu: float, lambda_max: float) -> Spectrum:
     """mu*j_{k,m}^2; multiplicity 2 for k = 0 and 4 for k >= 1 (pairs +-k, doubled)."""
     jmax = math.sqrt(lambda_max / mu)
-    entries = []
-    k = 0
-    while True:
-        m_hi = int(jmax / math.pi) + 2
-        zeros = bessel_zeros(k, m_hi)
-        zeros = zeros[zeros <= jmax]
-        if zeros.size == 0:
-            break
-        for m, z in enumerate(zeros, start=1):
-            entries.append((mu * z * z, 2 if k == 0 else 4, f"k{k}m{m}"))
-        k += 1
-    entries.sort()
+    # j_{k,1} > k + 1.8557*k^(1/3) (Qu & Wong 1999), so no other order has a zero below jmax
+    ks = np.arange(int(jmax) + 1)
+    zeros = bessel_zeros(ks[ks + 1.85 * np.cbrt(ks) <= jmax], int(jmax / math.pi) + 2)
+    k, m = np.nonzero(zeros <= jmax)
+    values = mu * zeros[k, m] * zeros[k, m]
+    order = np.argsort(values, kind="stable")
+    k, m = k[order], m[order] + 1
     return Spectrum(
         domain=UNIT_DISK,
         bc=BoundaryCondition.DIRICHLET,
         params=LameParams(mu, -mu),
-        eigenvalues=np.array([e[0] for e in entries]),
-        multiplicities=np.array([e[1] for e in entries], dtype=int),
-        mode_tags=[e[2] for e in entries],
+        eigenvalues=values[order],
+        multiplicities=np.where(k == 0, 2, 4),
+        mode_tags=np.char.add(np.char.add("k", k.astype(str)), np.char.add("m", m.astype(str))).tolist(),
         lambda_max=lambda_max,
         method=Method.ANALYTIC_DECOUPLED,
     )

@@ -6,8 +6,12 @@ one.  J_0..J_nmax come from one of three regimes, chosen per argument:
 * x <= 0.5: the power series of each order;
 * x >= max(25, 1.5*nmax): the Hankel expansion of J_0 and J_1, then upward
   recurrence;
-* otherwise: Miller backward recurrence from one start order shared by the
-  batch, normalised by J_0 + 2*sum J_{2m} = 1.
+* otherwise: Miller backward recurrence from a start order above max(nmax, x),
+  normalised by J_0 + 2*sum J_{2m} = 1.
+
+nmax may differ per argument, and each argument's values depend on nothing
+else in the batch, so a batch gives bit for bit the values of its points
+evaluated alone.
 
 The characteristic determinants of the disk modes are built from these
 tables; they are the hot loop of the spectrum scans.
@@ -32,9 +36,9 @@ _PIO4_LO = (0.0, 3.061616997868383e-17, 6.123233995736766e-17, 9.184850993605148
             1.2246467991473532e-16, 1.5308084989341916e-16, 1.8369701987210297e-16,
             2.143131898507868e-16)
 _ASYM_CUT = 25.0
-# cells (rows x arguments) of one det_grid chunk's largest array: its Bessel
+# cells (rows x arguments) of one jk_pairs chunk's largest array: its Bessel
 # table has kmax + 2 rows, the Hankel temporaries 41, so a chunk's arrays stay
-# near 4 MB each however long the grid is
+# near 4 MB each however many arguments there are
 _CHUNK_CELLS = 1 << 19
 
 
@@ -90,17 +94,30 @@ def _hankel(nmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _miller(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Miller backward recurrence from one start order for the whole batch; x > 0.5."""
-    m0 = max(nmax, int(math.ceil(x.max())))
-    start = m0 + int(math.sqrt(160.0 * max(m0, 8))) + 12
-    start += start % 2
+def _miller(nmax: int, x: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Miller backward recurrence, each argument from its own start order; x > 0.5.
+
+    Column i starts above max(top[i], x[i]) and holds zeros until then, so it
+    does not depend on the rest of the batch.
+    """
+    m0 = np.maximum(top, np.ceil(x).astype(np.int64))
+    start = m0 + np.sqrt(160.0 * np.maximum(m0, 8)).astype(np.int64) + 12
+    start += start & 1
+    first = int(start.max())
+    wait = first - start  # steps before a column begins; below 2**16, so radix-sorted
+    order = np.argsort(wait.astype(np.uint16), kind="stable")
+    # columns begun by step m = first, first - 1, ..., 1
+    begun = np.cumsum(np.bincount(wait, minlength=first)[:first]).tolist()
     out = np.zeros((nmax + 1, x.size))
     jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
+    jc = np.zeros_like(x)
     # half the normalisation sum: sum of the provisional J_{2m}, m >= 1
     half = np.zeros_like(x)
-    for m in range(start, 0, -1):
+    lo = 0
+    for m, hi in zip(range(first, 0, -1), begun):
+        if hi > lo:
+            jc[order[lo:hi]] = 1e-30  # provisional J_m of the columns that begin here
+            lo = hi
         jp, jc = jc, np.subtract((2.0 * m / x) * jc, jp, out=jp)  # jc: provisional J_{m-1}
         if m - 1 <= nmax:
             out[m - 1] = jc
@@ -120,29 +137,50 @@ def _miller(nmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def jn_table(nmax: int, x) -> np.ndarray:
-    """Table T[n, i] = J_n(x[i]) for n = 0..nmax and every x[i] >= 0."""
+def jn_table(nmax, x) -> np.ndarray:
+    """Table T[n, i] = J_n(x[i]) for n = 0..nmax[i] and every x[i] >= 0.
+
+    ``nmax`` is one top order for every argument or one per argument; the
+    table has max(nmax) + 1 rows, and rows above a column's own top order
+    hold no meaningful value.  Column i depends only on x[i] and nmax[i].
+    """
     x = np.asarray(x, dtype=float).ravel()
+    top = np.broadcast_to(np.asarray(nmax, dtype=np.int64), x.shape)
+    nmax = int(np.max(nmax, initial=0))
     out = np.zeros((nmax + 1, x.size))
     out[0, x == 0.0] = 1.0
     series = (x > 0.0) & (x <= 0.5)
-    hankel = (x >= _ASYM_CUT) & (x >= 1.5 * nmax)
+    hankel = (x >= _ASYM_CUT) & (x >= 1.5 * top)
     miller = (x > 0.5) & ~hankel
-    for mask, fill in ((series, _series), (hankel, _hankel), (miller, _miller)):
-        if mask.any():
-            out[:, mask] = fill(nmax, x[mask])
+    if series.any():
+        out[:, series] = _series(nmax, x[series])
+    if hankel.any():
+        out[:, hankel] = _hankel(nmax, x[hankel])
+    if miller.any():
+        out[:, miller] = _miller(nmax, x[miller], top[miller])
     return out
 
 
 def jk_pairs(k, x):
-    """(J_k(x), J_k'(x)) over an array x, for one order k or one order per point."""
+    """(J_k(x), J_k'(x)) over an array x, for one order k or one order per point.
+
+    Long arrays go through jn_table in chunks of at most _CHUNK_CELLS table
+    cells, so the temporaries stay bounded however many points there are.
+    """
     x = np.asarray(x, dtype=float).ravel()
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), x.shape)
-    t = jn_table(int(k.max(initial=0)) + 1, x)
-    cols = np.arange(x.size)
-    jk = t[k, cols]
-    up = t[k + 1, cols]
-    jkp = np.where(k == 0, -up, 0.5 * (t[np.abs(k - 1), cols] - up))
+    rows = int(k.max(initial=0)) + 2
+    jk = np.empty(x.size)
+    jkp = np.empty(x.size)
+    step = max(1, _CHUNK_CELLS // max(rows, 41))
+    for lo in range(0, x.size, step):
+        sl = slice(lo, lo + step)
+        kc = k[sl]
+        t = jn_table(kc + 1, x[sl])
+        cols = np.arange(kc.size)
+        up = t[kc + 1, cols]
+        jk[sl] = t[kc, cols]
+        jkp[sl] = np.where(kc == 0, -up, 0.5 * (t[np.abs(kc - 1), cols] - up))
     return jk, jkp
 
 
@@ -158,18 +196,6 @@ def det_grid(k, lams, mu: float, lam: float, free: bool):
     """
     lams = np.asarray(lams, dtype=float)
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), lams.shape)
-    n = lams.size
-    d = np.empty(n)
-    sc = np.empty(n)
-    # two arguments (p and s) per point
-    step = max(1, _CHUNK_CELLS // (2 * max(int(k.max(initial=0)) + 3, 41)))
-    for lo in range(0, n, step):
-        sl = slice(lo, lo + step)
-        d[sl], sc[sl] = _det_chunk(k[sl], lams[sl], mu, lam, free)
-    return d, sc
-
-
-def _det_chunk(k, lams, mu, lam, free):
     p = np.sqrt(lams / (lam + 2.0 * mu))
     s = np.sqrt(lams / mu)
     j, jd = jk_pairs(np.concatenate([k, k]), np.concatenate([p, s]))

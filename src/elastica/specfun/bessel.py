@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import RangeError
+from ..errors import BracketError, RangeError
 from . import _backend
 from .roots import refine_brackets
 
@@ -39,49 +39,35 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     return _backend.jn_table(int(nmax), [float(x)]).ravel()
 
 
-def _mcmahon(k: int, i: np.ndarray) -> np.ndarray:
-    mu = 4.0 * k * k
-    beta = (i + 0.5 * k - 0.25) * math.pi
-    return (
-        beta
-        - (mu - 1.0) / (8.0 * beta)
-        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
-    )
+def bessel_zeros(k, m: int) -> np.ndarray:
+    """First m positive zeros of J_k, ascending, for one order k or a 1-D array of orders.
 
-
-def _sign_grid_brackets(k: int, x0: float, need: int):
-    """The first ``need`` sign-change brackets of J_k on the unit-step grid from x0.
-
-    Zeros of J_k are more than 3 apart, so no unit step holds two of them.
-    The grid is evaluated in blocks that double until enough brackets are found.
+    An array of orders gives one row of m zeros per order.  Every order gets
+    a unit-step grid from below its first zero up to (m + k/2)*pi, which lies
+    above j_{k,m}; zeros of J_k are more than 3 apart, so each sign change on
+    a grid brackets one zero.  All grids are evaluated in one call, all
+    brackets refined in lockstep and every zero Newton-polished.
     """
-    jk = lambda x: _backend.jn_table(k, x)[k]
-    x = np.array([x0])
-    f = jk(x)
-    span = max(8.0, float(_mcmahon(k, np.array([need]))[0]) - x0 + 4.0)
-    while True:
-        x = np.concatenate([x, x[-1] + np.arange(1.0, math.ceil(span) + 1.0)])
-        f = np.concatenate([f, jk(x[f.size:])])
-        cross = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-        if cross.size >= need:
-            cross = cross[:need]
-            return x[cross], x[cross + 1], f[cross], f[cross + 1]
-        span *= 2.0
-
-
-def bessel_zeros(k: int, m: int) -> np.ndarray:
-    """First m positive zeros of J_k, ascending.
-
-    Each zero is bracketed by a sign change on a unit-step grid; all
-    brackets are refined in lockstep and every zero is Newton-polished.
-    """
-    if m < 0 or m > 10_000:
-        raise RangeError(f"zero count must lie in [0, 10000], got {m}")
-    _check(k, 1.0)
-    if m == 0:
-        return np.empty(0)
-    x0 = 0.5 if k == 0 else float(k) + 0.3  # J_k > 0 on (0, j_{k,1})
-    lo, hi, flo, fhi = _sign_grid_brackets(k, x0, m)
-    zeros = refine_brackets(lambda x, i: _backend.jn_table(k, x)[k], lo, hi, flo, fhi, 1e-14)
-    j, jp = _backend.jk_pairs(k, zeros)
-    return zeros - j / jp
+    if not isinstance(m, (int, np.integer)) or m < 0 or m > 10_000:
+        raise RangeError(f"zero count must be an integer in [0, 10000], got {m!r}")
+    ks = np.asarray(k)
+    if ks.ndim > 1 or ks.dtype.kind not in "iu" or np.any((ks < 0) | (ks > _MAX_ORDER)):
+        raise RangeError(f"order must be an integer in [0, {_MAX_ORDER}], got {k!r}")
+    kk = np.atleast_1d(ks).astype(np.int64)
+    x0 = np.where(kk == 0, 0.5, kk + 0.3)  # J_k > 0 on (0, j_{k,1})
+    n = np.ceil((m + 0.5 * kk) * math.pi - x0).astype(np.int64) + 1
+    owner = np.repeat(np.arange(kk.size), n)
+    x = x0[owner] + (np.arange(owner.size) - (np.cumsum(n) - n)[owner])
+    f = _backend.jk_pairs(kk[owner], x)[0]
+    cross = np.flatnonzero((owner[:-1] == owner[1:]) & (f[:-1] * f[1:] < 0.0))
+    found = np.bincount(owner[cross], minlength=kk.size)
+    if np.any(found < m):
+        raise BracketError(f"fewer than {m} sign changes of J_k below (m + k/2)*pi for k = {kk[found < m]}")
+    cross = cross[np.arange(cross.size) - (np.cumsum(found) - found)[owner[cross]] < m]
+    kz = kk[owner[cross]]
+    jk = lambda x, i: _backend.jk_pairs(kz[i], x)[0]
+    # Newton from 1e-10 relative leaves an error near 1e-20 relative (J''/J' = -1/x at a zero)
+    zeros = refine_brackets(jk, x[cross], x[cross + 1], f[cross], f[cross + 1], 1e-10)
+    j, jp = _backend.jk_pairs(kz, zeros)
+    zeros = (zeros - j / jp).reshape(kk.size, m)
+    return zeros if ks.ndim else zeros[0]

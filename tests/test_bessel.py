@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from elastica.errors import ParameterDomainError, RangeError
 from elastica.specfun import (
@@ -128,8 +129,15 @@ def test_range_errors():
         bessel_j(0, 1.1e6)
     with pytest.raises(RangeError):
         bessel_j(0, -1.0)
-    with pytest.raises(RangeError):
-        bessel_zeros(0, 10_001)
+    for k in (-1, 201, np.array([0, 201]), np.array([-1, 3]), 1.5, np.array([0.0, 1.0]), "1"):
+        with pytest.raises(RangeError):
+            bessel_zeros(k, 3)
+    for m in (-1, 10_001, 2.5):
+        with pytest.raises(RangeError):
+            bessel_zeros(np.arange(3), m)
+        with pytest.raises(RangeError):
+            bessel_zeros(0, m)
+    assert bessel_zeros(np.arange(3), 0).shape == (3, 0)
 
 
 def test_zero_tables_against_mpmath():
@@ -162,6 +170,17 @@ def test_deep_zero_table():
     assert abs(zs[i] - float(mp.besseljzero(2, i + 1))) < 1e-9 * zs[i]
 
 
+def test_zeros_of_many_orders_match_each_order_alone():
+    ks = np.array(list(range(61)) + [100, 150, 200])
+    for m in (1, 12, 50, 400):
+        table = bessel_zeros(ks, m)
+        assert table.shape == (ks.size, m)
+        for row, k in zip(table, ks):
+            assert np.array_equal(row, bessel_zeros(int(k), m)), (k, m)
+            ref = sps.jn_zeros(int(k), m)
+            assert np.max(np.abs(row - ref) / ref) <= 4.4e-16, (k, m)
+
+
 def test_gamma_values():
     assert gamma_fn(1.0) == 1.0
     assert gamma_fn(2.0) == 1.0
@@ -186,9 +205,9 @@ def test_gamma_domain_errors():
 
 
 def test_jn_table_batch_equals_points_alone():
-    # one batch mixes x = 0, the power series (x <= 0.5), Miller points that
-    # share one start order, and Hankel points; each column must match the
-    # point evaluated on its own
+    # one batch mixes x = 0, the power series (x <= 0.5), Miller points with
+    # different start orders, and Hankel points; each column must match the
+    # point evaluated on its own, bit for bit
     from elastica.specfun._backend import jn_table
 
     rng = np.random.default_rng(11)
@@ -199,8 +218,13 @@ def test_jn_table_batch_equals_points_alone():
         assert batch.shape == (nmax + 1, xs.size)
         for i, x in enumerate(xs):
             alone = jn_table(nmax, [x])[:, 0]
-            scale = np.max(np.abs(alone))
-            assert np.max(np.abs(batch[:, i] - alone)) <= 1e-14 * scale, (nmax, x)
+            assert np.array_equal(batch[:, i], alone), (nmax, x)
+    # one top order per argument: column i up to its own top equals the point alone
+    tops = rng.integers(0, 63, xs.size)
+    batch = jn_table(tops, xs)
+    assert batch.shape == (tops.max() + 1, xs.size)
+    for i, (top, x) in enumerate(zip(tops, xs)):
+        assert np.array_equal(batch[: top + 1, i], jn_table(int(top), [x])[:, 0]), (top, x)
 
 
 def test_det_grid_order_per_point_equals_one_order_at_a_time():
@@ -216,3 +240,25 @@ def test_det_grid_order_per_point_equals_one_order_at_a_time():
             dk, sk = det_grid(int(k), lams[sel], 1.0, 1.0, free)
             assert np.all(np.abs(d[sel] - dk) <= 1e-14 * sk)
             assert np.all(np.abs(sc[sel] - sk) <= 1e-14 * sk)
+
+
+def test_jk_pairs_chunks_long_arrays():
+    # a long array is evaluated in chunks whose temporaries stay bounded; the
+    # values equal one unchunked table (checked on every 50th point: a
+    # table's columns do not depend on the rest of its batch)
+    import tracemalloc
+
+    from elastica.specfun._backend import jk_pairs, jn_table
+
+    x = np.linspace(0.0, 2e3, 200_000)
+    tracemalloc.start()
+    try:
+        j, jd = jk_pairs(0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    t = jn_table(1, x[::50])
+    scale = np.maximum(np.abs(t[0]), np.abs(t[1]))
+    assert np.all(np.abs(j[::50] - t[0]) <= 1e-14 * scale)
+    assert np.all(np.abs(jd[::50] + t[1]) <= 1e-14 * scale)

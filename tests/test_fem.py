@@ -216,6 +216,63 @@ def test_disk_analytic_smallest_four():
     assert list(sp.multiplicities[:4]) == [2, 4, 4, 2]
 
 
+def _square_lattice_loop(mu, lambda_max, include_zero):
+    """Oracle: the lattice counted cell by cell."""
+    nmax = int(math.sqrt(lambda_max / (mu * math.pi**2))) + 1
+    lo = 0 if include_zero else 1
+    counts = {}
+    for p in range(lo, nmax + 1):
+        for q in range(lo, nmax + 1):
+            s = p * p + q * q
+            if mu * math.pi**2 * s <= lambda_max:
+                counts[s] = counts.get(s, 0) + 1
+    items = sorted(counts.items())
+    values = np.array([mu * math.pi**2 * s for s, _ in items])
+    return values, np.array([2 * c for _, c in items], dtype=int), [f"pq{s}" for s, _ in items]
+
+
+def test_square_lattice_matches_cell_loop():
+    for mu in (0.7, 1.0):
+        for lam_max in (50.0, 3e4, 1e5):
+            for sp, zero in ((square_dirichlet_spectrum(mu, lam_max), False),
+                             (square_neumann_lattice_spectrum(mu, lam_max), True)):
+                values, mults, tags = _square_lattice_loop(mu, lam_max, zero)
+                assert np.array_equal(sp.eigenvalues, values)
+                assert np.array_equal(sp.multiplicities, mults)
+                assert list(sp.mode_tags) == tags
+
+
+def test_disk_analytic_one_zero_call_matches_order_loop(monkeypatch):
+    from elastica.fem import analytic
+
+    calls = []
+
+    def counted(k, m):
+        calls.append(k)
+        return bessel_zeros(k, m)
+
+    monkeypatch.setattr(analytic, "bessel_zeros", counted)
+    for mu in (0.98, 1.0, 1.02):
+        for lam_max in (50.0, 800.0, 5e3):
+            calls.clear()
+            sp = disk_dirichlet_spectrum(mu, lam_max)
+            assert len(calls) == 1
+            # oracle: one zero table per order until an order has no zero below jmax
+            jmax = math.sqrt(lam_max / mu)
+            entries, k = [], 0
+            while True:
+                zeros = bessel_zeros(k, int(jmax / math.pi) + 2)
+                zeros = zeros[zeros <= jmax]
+                if zeros.size == 0:
+                    break
+                entries += [(mu * z * z, 2 if k == 0 else 4, f"k{k}m{m}") for m, z in enumerate(zeros, start=1)]
+                k += 1
+            entries.sort()
+            assert np.array_equal(sp.eigenvalues, [e[0] for e in entries])
+            assert np.array_equal(sp.multiplicities, [e[1] for e in entries])
+            assert list(sp.mode_tags) == [e[2] for e in entries]
+
+
 def test_analytic_unsupported_combo():
     with pytest.raises(ParameterDomainError):
         analytic_decoupled_spectrum(UNIT_DISK, 1.0, 50.0, BC.FREE)
