@@ -181,6 +181,16 @@ def test_zeros_of_many_orders_match_each_order_alone():
             assert np.max(np.abs(row - ref) / ref) <= 4.4e-16, (k, m)
 
 
+def test_zero_table_raises_without_enough_brackets(monkeypatch):
+    # a J_k without m sign changes below (m + k/2)*pi must not give a short row
+    from elastica.errors import BracketError
+    from elastica.specfun import _backend
+
+    monkeypatch.setattr(_backend, "jk_pairs", lambda k, x: (np.ones(np.size(x)), np.ones(np.size(x))))
+    with pytest.raises(BracketError):
+        bessel_zeros(np.arange(3), 5)
+
+
 def test_gamma_values():
     assert gamma_fn(1.0) == 1.0
     assert gamma_fn(2.0) == 1.0
