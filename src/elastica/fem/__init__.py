@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SolverError
+from ..errors import SingularLimitError, SolverError
 from ..params import BoundaryCondition, DomainGeometry, LameParams
 from ..spectrum import Method, Spectrum, merge_close
 from .analytic import (
@@ -46,19 +46,37 @@ __all__ = [
 
 # eigenvalues asked for beyond the Weyl estimate of the count below the cutoff
 _EXTRA_COUNT = 12
+# boundary coefficient assumed where a theory's is infinite (CFLV, traction
+# free, alpha = 1): there the discrete count depends on the mesh, and 12- to
+# 48-ring disks at cutoffs 30-100 show an effective b of 0.6-1.1
+_SINGULAR_B = 1.0
 
 
 def weyl_count_estimate(
     params: LameParams, domain: DomainGeometry, lambda_max: float, bc: BoundaryCondition
 ) -> float:
-    """Two-term estimate of N(lambda_max), used to size eigensolves."""
-    from ..coeffs import Theory, weyl_two_term
+    """Two-term estimate of N(lambda_max), used to size eigensolves.
 
-    w = weyl_two_term(params, 2, Theory.LIU)
-    lead = w.a * domain.volume * lambda_max
-    b = w.b_minus if bc is BoundaryCondition.DIRICHLET else w.b_plus
-    est = lead + b * domain.boundary_length * np.sqrt(lambda_max)
+    The leading term is common to both theories.  The boundary term takes
+    the largest b of the theories, so that the estimate presupposes neither,
+    and ``_SINGULAR_B`` for a theory whose b is infinite.
+    """
+    from ..coeffs import Theory, boundary_coefficient, weyl_a
+
+    bs = []
+    for theory in Theory:
+        try:
+            bs.append(boundary_coefficient(params, 2, bc, theory))
+        except SingularLimitError:
+            bs.append(_SINGULAR_B)
+    lead = weyl_a(params, 2) * domain.volume * lambda_max
+    est = lead + max(bs) * domain.boundary_length * np.sqrt(lambda_max)
     return max(est, 0.5 * lead)
+
+
+def _block_label(sizes) -> str:
+    """Unknowns of the symmetry blocks m = 0..N//2 of one solve, as in 2256/2257/2256/2256."""
+    return "/".join(str(n) for n in sizes)
 
 
 def fem_extrapolated_spectrum(
@@ -109,6 +127,8 @@ def fem_extrapolated_spectrum(
         meta={
             "resolutions": "/".join(str(r) for r in resolutions),
             "max_error_estimate": repr(float(errs[keep].max()) if keep.any() else 0.0),
+            "symmetry": f"C{ex.rotation_order}",
+            "blocks": ",".join(_block_label(b) for b in ex.block_sizes),
         },
     )
     return spectrum, ex
@@ -130,7 +150,8 @@ def fem_spectrum(
     mesh = build_mesh(domain, resolution)
     trust = (0.5 / mesh.h) ** 2
     lam_cap = min(lambda_max, trust)
-    vals = solve_eigs(assemble(mesh, params, bc), lambda_max=lam_cap).values
+    sol = solve_eigs(assemble(mesh, params, bc), lambda_max=lam_cap)
+    vals = sol.values
     if bc is BoundaryCondition.FREE:
         vals = np.where(np.abs(vals) < 1e-8 * max(1.0, vals.max(initial=1.0)), 0.0, vals)
         vals = np.maximum(vals, 0.0)
@@ -144,5 +165,10 @@ def fem_spectrum(
         mode_tags=["fem"] * len(reps),
         lambda_max=lam_cap,
         method=Method.FEM,
-        meta={"h": repr(mesh.h), "resolution": str(resolution)},
+        meta={
+            "h": repr(mesh.h),
+            "resolution": str(resolution),
+            "symmetry": f"C{mesh.rotation_order}",
+            "blocks": _block_label(sol.block_sizes),
+        },
     )

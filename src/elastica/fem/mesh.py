@@ -18,6 +18,10 @@ class Mesh:
     vertices: np.ndarray  # (nv, 2)
     triangles: np.ndarray  # (nt, 3) int, CCW
     boundary: np.ndarray  # (nv,) bool
+    # rotation group C_N of the mesh: N, and the vertex image under the
+    # rotation by 2*pi/N about the domain's centre (None when N = 1)
+    rotation_order: int = 1
+    rotation: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -82,7 +86,9 @@ def unit_square_mesh(m: int) -> Mesh:
         | (vertices[:, 1] < eps)
         | (vertices[:, 1] > 1 - eps)
     )
-    return Mesh(UNIT_SQUARE, math.sqrt(2.0) / m, vertices, triangles, boundary)
+    # the half turn about the centre reverses the vertex numbering
+    half_turn = np.arange(len(vertices) - 1, -1, -1)
+    return Mesh(UNIT_SQUARE, math.sqrt(2.0) / m, vertices, triangles, boundary, 2, half_turn)
 
 
 def unit_disk_mesh(n_rings: int) -> Mesh:
@@ -129,4 +135,8 @@ def unit_disk_mesh(n_rings: int) -> Mesh:
         [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
     )
     h = float(np.max(np.linalg.norm(edges, axis=1)))
-    return Mesh(UNIT_DISK, h, vertices, triangles, boundary)
+    # the 60-degree turn maps vertex j of ring i to vertex j + i (mod 6i)
+    sixth_turn = np.zeros(len(vertices), dtype=np.int64)
+    for i in range(1, n_rings + 1):
+        sixth_turn[ring_start[i]:ring_start[i] + 6 * i] = ring_start[i] + (np.arange(6 * i) + i) % (6 * i)
+    return Mesh(UNIT_DISK, h, vertices, triangles, boundary, 6, sixth_turn)

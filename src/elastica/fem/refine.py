@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ class ExtrapolationResult:
     observed_order: np.ndarray
     flagged: np.ndarray  # True where convergence was non-monotone
     error_estimate: np.ndarray  # |extrapolated - finest|
+    rotation_order: int = 1  # order N of the meshes' rotation group
+    block_sizes: list[tuple[int, ...]] = field(default_factory=list)  # per level
 
 
 def refine_and_extrapolate(
@@ -49,12 +51,14 @@ def refine_and_extrapolate(
 
     levels = []
     hs = []
+    blocks = []
     for res in resolutions:
         mesh = build_mesh(domain, res)
         hs.append(mesh.h)
         ops = assemble(mesh, params, bc)
         sol = solve_eigs(ops, count)
         levels.append(np.sort(sol.values)[:count])
+        blocks.append(sol.block_sizes)
     raw = np.vstack(levels)
 
     e1, e2, e3 = raw[-3], raw[-2], raw[-1]
@@ -80,4 +84,6 @@ def refine_and_extrapolate(
         observed_order=order,
         flagged=flagged,
         error_estimate=np.abs(extrapolated - raw[-1]),
+        rotation_order=mesh.rotation_order,
+        block_sizes=blocks,
     )

@@ -36,9 +36,13 @@ _PIO4_LO = (0.0, 3.061616997868383e-17, 6.123233995736766e-17, 9.184850993605148
             1.2246467991473532e-16, 1.5308084989341916e-16, 1.8369701987210297e-16,
             2.143131898507868e-16)
 _ASYM_CUT = 25.0
+# terms of the Hankel expansion at most, and rows made per step of it: one
+# step finishes every x >= 100, two every x >= 25
+_HANKEL_TERMS = 41
+_HANKEL_CHUNK = 10
 # cells (rows x arguments) of one jk_pairs chunk's largest array: its Bessel
-# table has kmax + 2 rows, the Hankel temporaries 41, so a chunk's arrays stay
-# near 4 MB each however many arguments there are
+# table has kmax + 2 rows, the Hankel temporaries fewer than 41, so a chunk's
+# arrays stay near 4 MB each however many arguments there are
 _CHUNK_CELLS = 1 << 19
 
 
@@ -60,6 +64,46 @@ def _series(nmax: int, x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _hankel_pq(x: np.ndarray):
+    """P and Q of the Hankel expansions of J_0 and J_1 (rows 0 and 1), x >= 25.
+
+    Term j is a_{j+1} / x^{j+1}; P = 1 + the sum over odd j, Q = the sum over
+    even j.  Each series stops after its first term below 1e-17 of |P| + |Q|
+    (the terms decrease for x >= 25, j <= 40; at x = 25 that is term 20), or
+    after 41 terms.  The terms are made _HANKEL_CHUNK rows at a time, both
+    orders side by side, each chunk carrying on the running product and sums
+    of the last, so the values are bit for bit those of all 41 rows at once;
+    the series already stopped drop out.
+    """
+    xs = np.concatenate([x, x])
+    mu4 = np.repeat([0.0, 4.0], x.size)  # 4 k^2
+    p_out = np.empty_like(xs)
+    q_out = np.empty_like(xs)
+    live = np.arange(xs.size)
+    term, p, q = np.ones_like(xs), np.ones_like(xs), np.zeros_like(xs)
+    for lo in range(0, _HANKEL_TERMS, _HANKEL_CHUNK):
+        j = np.arange(lo, min(lo + _HANKEL_CHUNK, _HANKEL_TERMS), dtype=float)[:, None]
+        ratio = (mu4[live] - (2.0 * j + 1.0) ** 2) / (8.0 * (j + 1.0) * xs[live])
+        terms = np.cumprod(np.vstack([term, ratio]), axis=0)[1:]
+        signed = np.where((j + 1) % 4 < 2, 1.0, -1.0) * terms  # +, -, -, +, +, -, ...
+        even = j % 2 == 0
+        ps = np.cumsum(np.vstack([p, np.where(even, 0.0, signed)]), axis=0)[1:]
+        qs = np.cumsum(np.vstack([q, np.where(even, signed, 0.0)]), axis=0)[1:]
+        small = np.abs(terms) < 1e-17 * (np.abs(ps) + np.abs(qs))
+        if lo + len(j) == _HANKEL_TERMS:
+            small[-1] = True
+        hit = small.any(axis=0)
+        rows, cols = np.argmax(small, axis=0)[hit], np.flatnonzero(hit)
+        p_out[live[hit]] = ps[rows, cols]
+        q_out[live[hit]] = qs[rows, cols]
+        go_on = ~hit
+        live = live[go_on]
+        if live.size == 0:
+            break
+        term, p, q = terms[-1, go_on], ps[-1, go_on], qs[-1, go_on]
+    return p_out.reshape(2, x.size), q_out.reshape(2, x.size)
+
+
 def _hankel(nmax: int, x: np.ndarray) -> np.ndarray:
     """J_0, J_1 by the Hankel expansion, then upward recurrence; x >= 25, x >= 1.5*nmax."""
     q = np.floor(x / _TWOPI)
@@ -67,25 +111,12 @@ def _hankel(nmax: int, x: np.ndarray) -> np.ndarray:
     r = np.where(r < 0.0, r + _TWOPI, r)
     amp = np.sqrt(2.0 / (math.pi * x))
     out = np.empty((nmax + 1, x.size))
-    j = np.arange(41.0)[:, None]
-    sign = np.where((j + 1) % 4 < 2, 1.0, -1.0)  # +, -, -, +, +, -, ...
-    even = j % 2 == 0
+    p, q = _hankel_pq(x)
     j01 = []
     for k in (0, 1):
-        mu4 = 4.0 * k * k
-        # term j is a_{j+1} / x^{j+1}; the terms decrease for x >= 25, j <= 40
-        term = np.cumprod((mu4 - (2.0 * j + 1.0) ** 2) / (8.0 * (j + 1.0) * x), axis=0)
-        signed = sign * term
-        # P = 1 + sum over odd j, Q = sum over even j (partial sums after each term)
-        p = np.cumsum(np.vstack([np.ones_like(x), np.where(even, 0.0, signed)]), axis=0)[1:]
-        q = np.cumsum(np.vstack([np.zeros_like(x), np.where(even, signed, 0.0)]), axis=0)[1:]
-        # stop after the first term below 1e-17 of |P| + |Q|, or after 41 terms
-        small = np.abs(term) < 1e-17 * (np.abs(p) + np.abs(q))
-        small[-1] = True
-        stop = np.argmax(small, axis=0), np.arange(x.size)
         m8 = (2 * k + 1) & 7
         chi = (r - _PIO4_HI[m8]) - _PIO4_LO[m8]
-        j01.append(amp * (np.cos(chi) * p[stop] - np.sin(chi) * q[stop]))
+        j01.append(amp * (np.cos(chi) * p[k] - np.sin(chi) * q[k]))
     out[0] = j01[0]
     if nmax >= 1:
         out[1] = j01[1]

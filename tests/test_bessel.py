@@ -272,3 +272,61 @@ def test_jk_pairs_chunks_long_arrays():
     scale = np.maximum(np.abs(t[0]), np.abs(t[1]))
     assert np.all(np.abs(j[::50] - t[0]) <= 1e-14 * scale)
     assert np.all(np.abs(jd[::50] + t[1]) <= 1e-14 * scale)
+
+
+def _hankel_all_terms(nmax, x):
+    """Oracle: the Hankel regime with all 41 terms made for every argument
+    before each argument's stopping term is picked."""
+    from elastica.specfun import _backend as B
+
+    q = np.floor(x / B._TWOPI)
+    r = ((x - q * B._TWOPI_P1) - q * B._TWOPI_P2) - q * B._TWOPI_P3
+    r = np.where(r < 0.0, r + B._TWOPI, r)
+    amp = np.sqrt(2.0 / (math.pi * x))
+    out = np.empty((nmax + 1, x.size))
+    j = np.arange(41.0)[:, None]
+    sign = np.where((j + 1) % 4 < 2, 1.0, -1.0)
+    even = j % 2 == 0
+    j01 = []
+    for k in (0, 1):
+        mu4 = 4.0 * k * k
+        term = np.cumprod((mu4 - (2.0 * j + 1.0) ** 2) / (8.0 * (j + 1.0) * x), axis=0)
+        signed = sign * term
+        p = np.cumsum(np.vstack([np.ones_like(x), np.where(even, 0.0, signed)]), axis=0)[1:]
+        q = np.cumsum(np.vstack([np.zeros_like(x), np.where(even, signed, 0.0)]), axis=0)[1:]
+        small = np.abs(term) < 1e-17 * (np.abs(p) + np.abs(q))
+        small[-1] = True
+        stop = np.argmax(small, axis=0), np.arange(x.size)
+        m8 = (2 * k + 1) & 7
+        chi = (r - B._PIO4_HI[m8]) - B._PIO4_LO[m8]
+        j01.append(amp * (np.cos(chi) * p[stop] - np.sin(chi) * q[stop]))
+    out[0] = j01[0]
+    if nmax >= 1:
+        out[1] = j01[1]
+    for m in range(1, nmax):
+        out[m + 1] = (2.0 * m / x) * out[m] - out[m - 1]
+    return out
+
+
+def test_hankel_in_chunks_equals_all_terms_at_once(monkeypatch):
+    from elastica.specfun import _backend as B
+
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[25.0, 1e4], np.geomspace(25.0, 1e4, 3000), rng.uniform(25.0, 1e4, 3000)])
+    for nmax in (0, 1, 60, 200):
+        chunked = B.jn_table(nmax, x)
+        with monkeypatch.context() as m:
+            m.setattr(B, "_hankel", _hankel_all_terms)
+            oracle = B.jn_table(nmax, x)
+        assert np.array_equal(chunked, oracle), nmax
+    # the chunks stop early: at x >= 100 every series is done within 10 terms
+    live = []
+    real_cumprod = np.cumprod
+
+    def cumprod(a, axis=None):
+        live.append(a.shape)
+        return real_cumprod(a, axis=axis)
+
+    monkeypatch.setattr(B.np, "cumprod", cumprod)
+    B._hankel_pq(np.geomspace(100.0, 1e4, 500))
+    assert len(live) == -(-10 // B._HANKEL_CHUNK)

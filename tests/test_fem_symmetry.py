@@ -1,0 +1,212 @@
+"""Rotation-symmetry blocks of the FEM eigenproblem."""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
+
+from elastica.errors import SolverError
+from elastica.fem import (
+    assemble,
+    fem_extrapolated_spectrum,
+    fem_spectrum,
+    solve_eigs,
+    unit_disk_mesh,
+    unit_square_mesh,
+)
+from elastica.fem import eigs as eigs_mod
+from elastica.fem.mesh import Mesh
+from elastica.fem.symmetry import symmetry_blocks
+from elastica.params import BoundaryCondition as BC
+from elastica.params import LameParams, UNIT_DISK, UNIT_SQUARE
+from elastica.spectrum import merge_close, read_spectrum, write_spectrum
+
+PDEC = LameParams(1.0, -1.0)
+P11 = LameParams(1.0, 1.0)
+
+
+def _whole(mesh):
+    """The mesh without its rotation group: one block, the whole operator."""
+    return Mesh(mesh.domain, mesh.h, mesh.vertices, mesh.triangles, mesh.boundary)
+
+
+@pytest.mark.parametrize(
+    "mesh, order, centre",
+    [
+        (unit_disk_mesh(7), 6, (0.0, 0.0)),
+        (unit_square_mesh(6), 2, (0.5, 0.5)),
+        (unit_square_mesh(7), 2, (0.5, 0.5)),
+    ],
+)
+def test_rotation_maps_the_mesh_onto_itself(mesh, order, centre):
+    assert mesh.rotation_order == order
+    th = 2.0 * np.pi / order
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    c = np.array(centre)
+    image = (mesh.vertices - c) @ rot.T + c
+    assert np.max(np.abs(image - mesh.vertices[mesh.rotation])) <= 1e-12
+    assert np.array_equal(mesh.boundary[mesh.rotation], mesh.boundary)
+    tris = {tuple(sorted(t)) for t in mesh.triangles.tolist()}
+    assert {tuple(sorted(t)) for t in mesh.rotation[mesh.triangles].tolist()} == tris
+    # the generator has order N exactly
+    v = np.arange(mesh.n_vertices)
+    for _ in range(order):
+        v = mesh.rotation[v]
+    assert np.array_equal(v, np.arange(mesh.n_vertices))
+
+
+def test_mesh_without_symmetry_is_one_block():
+    ops = assemble(_whole(unit_disk_mesh(6)), P11, BC.DIRICHLET)
+    (blk,) = symmetry_blocks(ops)
+    assert blk.basis is None and blk.weight == 1
+    assert blk.stiffness is ops.stiffness and blk.mass is ops.mass
+
+
+@pytest.mark.parametrize("mesh", [unit_disk_mesh(6), unit_square_mesh(6), unit_square_mesh(7)])
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+def test_blocks_are_an_isometric_split(mesh, bc):
+    ops = assemble(mesh, P11, bc)
+    blocks = symmetry_blocks(ops)
+    assert len(blocks) == mesh.rotation_order // 2 + 1
+    assert sum(b.weight * b.n for b in blocks) == ops.n
+    A, M = ops.stiffness.toarray(), ops.mass.toarray()
+    for b in blocks:
+        q = b.basis.toarray()
+        assert np.max(np.abs(q.conj().T @ q - np.eye(b.n))) <= 1e-14
+        assert np.max(np.abs(q.conj().T @ A @ q - b.stiffness.toarray())) <= 1e-13 * np.abs(A).max()
+        assert np.max(np.abs(q.conj().T @ M @ q - b.mass.toarray())) <= 1e-13 * np.abs(M).max()
+        assert np.iscomplexobj(q) == (b.weight == 2)
+
+
+def _assert_same_spectrum(got, want):
+    """<= 1e-12 relative; numerically zero values to 1e-12 of the largest."""
+    assert len(got) == len(want)
+    scale = np.abs(want).max()
+    floor = np.where(np.abs(want) > 1e-8 * scale, np.abs(want), scale)
+    assert np.max(np.abs(got - want) / floor) <= 1e-12
+    assert np.array_equal(merge_close(got, 1e-6)[1], merge_close(want, 1e-6)[1])
+
+
+@pytest.mark.parametrize("mesh", [unit_disk_mesh(8), unit_square_mesh(8), unit_square_mesh(9)])
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+@pytest.mark.parametrize("mode", [{"count": 30}, {"lambda_max": 150.0}])
+def test_block_spectra_match_full_eigh(mesh, bc, mode):
+    ops = assemble(mesh, P11, bc)
+    r = solve_eigs(ops, **mode)
+    assert r.method == "dense" and len(r.block_sizes) == mesh.rotation_order // 2 + 1
+    full = sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
+    want = full[: mode["count"]] if "count" in mode else full[full < mode["lambda_max"]]
+    _assert_same_spectrum(r.values, want)
+
+
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+@pytest.mark.parametrize("mode", [{"count": 40}, {"lambda_max": 100.0}])
+def test_arpack_blocks_match_the_whole_operator(bc, mode):
+    mesh = unit_disk_mesh(24)
+    reduced = solve_eigs(assemble(mesh, P11, bc), **mode)
+    whole = solve_eigs(assemble(_whole(mesh), P11, bc), **mode)
+    assert min(reduced.block_sizes) > eigs_mod._DENSE_LIMIT
+    assert reduced.method == whole.method == "lanczos"
+    assert len(whole.block_sizes) == 1
+    _assert_same_spectrum(reduced.values, whole.values)
+    assert reduced.residuals.max() <= eigs_mod._RESID_TOL
+
+
+def test_free_disk_zero_modes_sit_in_blocks_0_and_pm1():
+    ops = assemble(unit_disk_mesh(8), P11, BC.FREE)
+    r = solve_eigs(ops, count=8)
+    assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) == 3
+    zeros = {}
+    for b in symmetry_blocks(ops):
+        vals = sla.eigh(b.stiffness.toarray(), b.mass.toarray(), eigvals_only=True)
+        zeros[b.m] = int(np.sum(np.abs(vals) <= 1e-8 * vals.max()))
+    # rotation in m = 0; the two translations in m = 1 and its conjugate m = 5
+    assert zeros == {0: 1, 1: 1, 2: 0, 3: 0}
+
+
+def test_count_mode_grows_the_block_with_the_lowest_gap(monkeypatch):
+    # with one spare value per block, block m = 1 certifies too little for
+    # the union's 4th value and is solved again with a larger share
+    mesh = unit_disk_mesh(24)
+    want = solve_eigs(assemble(_whole(mesh), P11, BC.DIRICHLET), count=4).values
+    solved = []
+    real_block = eigs_mod._lanczos_block
+
+    def block(ops, blk, sigma, k, count, lambda_max):
+        solved.append(blk.m)
+        return real_block(ops, blk, sigma, k, count, lambda_max)
+
+    monkeypatch.setattr(eigs_mod, "_EXTRA", 1)
+    monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
+    r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), count=4)
+    assert solved == [0, 1, 2, 3, 1]
+    _assert_same_spectrum(r.values, want)
+
+
+@pytest.mark.parametrize("drops", [1, None])
+def test_inertia_catches_a_copy_dropped_inside_a_block(monkeypatch, drops):
+    # lambda = -mu: block m = 0 of the 24-ring disk opens with j11^2 twice;
+    # its first ARPACK answer loses one copy, residuals stay tiny
+    ops = assemble(unit_disk_mesh(24), PDEC, BC.DIRICHLET)
+    blocks = symmetry_blocks(ops)
+    assert min(b.n for b in blocks) > eigs_mod._DENSE_LIMIT
+    real_eigsh, real_splu = spla.eigsh, spla.splu
+    calls, factors = [], []
+
+    def eigsh(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        vals, vecs = real_eigsh(*args, **kwargs)
+        if drops is None or len(calls) <= drops:
+            keep = np.delete(np.argsort(vals), 0)
+            vals, vecs = vals[keep], vecs[:, keep]
+        return vals, vecs
+
+    def splu(*args, **kwargs):
+        factors.append(args[0].shape[0])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    monkeypatch.setattr(spla, "splu", splu)
+    if drops is None:
+        with pytest.raises(SolverError, match="inertia"):
+            solve_eigs(ops, count=10)
+        return
+    r = solve_eigs(ops, count=10)
+    # block 0 twice (the retry with the next seed), then one call per block
+    assert len(calls) == 5
+    # block 0: shift, inertia (fails), shift again, inertia; 2 for each other block
+    assert len(factors) == 10
+    reps, mults = merge_close(r.values, rel_gap=1e-6)
+    assert list(mults) == [2, 4, 4]
+
+
+def test_singular_free_sizing_needs_one_arpack_call_per_block(monkeypatch):
+    # lambda = -mu, traction free: CFLV's b is infinite and Liu's b_plus alone
+    # sized every block too small (five calls here: one block grew)
+    ops = assemble(unit_disk_mesh(48), PDEC, BC.FREE)
+    real_eigsh = spla.eigsh
+    calls = []
+
+    def eigsh(*args, **kwargs):
+        calls.append(args[1])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    r = solve_eigs(ops, lambda_max=60.0)
+    assert r.method == "lanczos" and min(r.block_sizes) > eigs_mod._DENSE_LIMIT
+    assert len(calls) == len(r.block_sizes)
+    assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) >= 3
+
+
+def test_fem_spectrum_records_its_reduction(tmp_path):
+    sp = fem_spectrum(UNIT_DISK, P11, BC.DIRICHLET, 8, 100.0)
+    assert sp.meta["symmetry"] == "C6"
+    sizes = [int(n) for n in sp.meta["blocks"].split("/")]
+    assert len(sizes) == 4 and sizes[0] + 2 * sizes[1] + 2 * sizes[2] + sizes[3] == 2 * (1 + 3 * 7 * 8)
+    write_spectrum(sp, tmp_path / "s.fem.csv")
+    back = read_spectrum(tmp_path / "s.fem.csv")
+    assert back.meta["symmetry"] == "C6" and back.meta["blocks"] == sp.meta["blocks"]
+    # a Richardson spectrum lists the blocks of each level
+    sq, _ = fem_extrapolated_spectrum(UNIT_SQUARE, PDEC, BC.DIRICHLET, [4, 8, 16], 60.0)
+    assert sq.meta["symmetry"] == "C2"
+    assert sq.meta["blocks"] == "8/10,48/50,224/226"
