@@ -57,12 +57,15 @@ class DiskMode:
     determinant_residual: float
 
 
-def _check_alpha(params: LameParams):
+def _check_alpha(params: LameParams, bc: BoundaryCondition):
     if abs(params.alpha - 1.0) <= _ALPHA_DEGENERATE_TOL:
-        raise DegenerateDecompositionError(
-            "potential split is degenerate at alpha = 1 (p = s); use the FEM path or the "
-            "exact decoupled Bessel spectrum instead"
-        )
+        if bc is BoundaryCondition.FREE:
+            # no other route has a spectrum here either (fem._refuse_free_decoupled)
+            hint = ("traction free, every displacement with u_1 + i u_2 holomorphic has zero energy, "
+                    "so there is no discrete spectrum to compute")
+        else:
+            hint = "use the FEM path or the exact decoupled Bessel spectrum instead"
+        raise DegenerateDecompositionError(f"potential split is degenerate at alpha = 1 (p = s); {hint}")
 
 
 def characteristic_det(k: int, lambda_ev: float, params: LameParams, bc: BoundaryCondition) -> float:
@@ -74,7 +77,7 @@ def characteristic_det(k: int, lambda_ev: float, params: LameParams, bc: Boundar
     """
     if lambda_ev <= 0.0:
         raise ParameterDomainError(f"trial eigenvalue must be > 0, got {lambda_ev}")
-    _check_alpha(params)
+    _check_alpha(params, bc)
     fn = _backend.det_free if bc is BoundaryCondition.FREE else _backend.det_dirichlet
     d, _ = fn(int(k), float(lambda_ev), params.mu, params.lam)
     return d
@@ -279,7 +282,7 @@ def disk_modes_potential(
     cutoff drops to the bound below which the truncated union is provably
     complete.
     """
-    _check_alpha(params)
+    _check_alpha(params, bc)
     if k_max > 60:
         raise ParameterDomainError(f"k_max capped at 60, got {k_max}")
     if lambda_max > 1e5:

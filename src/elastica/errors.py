@@ -14,7 +14,9 @@ class SingularLimitError(ElasticaError, ArithmeticError):
 
     Raised for the traction-free CFLV coefficient at alpha = 1, where the
     4*gamma_R**(1-n) term blows up (gamma_R = 0) while the published
-    alpha -> 1 limit omits it.  The message carries the diagnostic.
+    alpha -> 1 limit omits it, and for the traction-free FEM spectrum at
+    alpha = 1, where every displacement with u_1 + i u_2 holomorphic has zero
+    energy.  The message carries the diagnostic.
     """
 
 

@@ -2,6 +2,10 @@
 
 Serves as the independent oracle for the disk potential method and as the
 spectrum generator for coupled parameters on both model domains.
+
+scipy is imported inside the functions that use it (``assemble``,
+``symmetry_blocks`` and the solvers in ``eigs``), so that importing the
+package, and every command that runs no FEM solve, does not load it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,23 @@ _EXTRA_COUNT = 12
 # free, alpha = 1): there the discrete count depends on the mesh, and 12- to
 # 48-ring disks at cutoffs 30-100 show an effective b of 0.6-1.1
 _SINGULAR_B = 1.0
+# |alpha - 1| up to which lambda = -mu (as diskmodes' degenerate potential split)
+_ALPHA_DECOUPLED_TOL = 1e-12
+
+
+def _refuse_free_decoupled(params: LameParams, bc: BoundaryCondition) -> None:
+    """Traction free at lambda = -mu there is no spectrum to approximate.
+
+    The energy density 2 mu |eps|^2 + lambda (div u)^2 is then
+    mu [(eps_11 - eps_22)^2 + 4 eps_12^2], which vanishes on every u with
+    u_1 + i u_2 holomorphic: an infinite-dimensional kernel, so the P1 count
+    below a fixed cutoff grows without bound under refinement.
+    """
+    if bc is BoundaryCondition.FREE and abs(params.alpha - 1.0) <= _ALPHA_DECOUPLED_TOL:
+        raise SingularLimitError(
+            "traction-free spectrum at lambda = -mu: every displacement with u_1 + i u_2 holomorphic "
+            "has zero energy, so the FEM count below a cutoff grows with refinement"
+        )
 
 
 def weyl_count_estimate(
@@ -93,8 +114,9 @@ def fem_extrapolated_spectrum(
     Spectrum whose per-eigenvalue discretization-error estimates ride along
     in the ExtrapolationResult.  If one enlarged retry still falls short of
     the cutoff, raises SolverError rather than label a truncated spectrum
-    complete.
+    complete.  Traction free at lambda = -mu raises SingularLimitError.
     """
+    _refuse_free_decoupled(params, bc)
     count = int(1.15 * weyl_count_estimate(params, domain, lambda_max, bc)) + _EXTRA_COUNT
     if bc is BoundaryCondition.FREE:
         count += 3
@@ -145,8 +167,10 @@ def fem_spectrum(
 
     lambda_max is capped at the discretization trust threshold
     sqrt(lambda)*h <= 0.5; nearby discrete eigenvalues are merged into
-    multiplicities at relative gap 1e-6.
+    multiplicities at relative gap 1e-6.  Traction free at lambda = -mu
+    raises SingularLimitError.
     """
+    _refuse_free_decoupled(params, bc)
     mesh = build_mesh(domain, resolution)
     trust = (0.5 / mesh.h) ** 2
     lam_cap = min(lambda_max, trust)

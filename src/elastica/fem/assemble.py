@@ -7,13 +7,20 @@ traction-free condition is natural, Dirichlet rows/columns are eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import MeshError
 from ..params import BoundaryCondition, LameParams
 from .mesh import Mesh
+
+if TYPE_CHECKING:  # scipy loads with the first assembly, not with the package
+    import scipy.sparse as sp
+
+# consistent P1 mass of a unit-area triangle on the interleaved dofs (u_x, u_y)
+# of its three vertices
+_UNIT_MASS = np.kron(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0, np.eye(2))
 
 
 @dataclass
@@ -31,6 +38,8 @@ class Operators:
 
 
 def assemble(mesh: Mesh, params: LameParams, bc: BoundaryCondition) -> Operators:
+    import scipy.sparse as sp
+
     v = mesh.vertices
     t = mesh.triangles
     p = v[t]  # (nt, 3, 2)
@@ -54,14 +63,8 @@ def assemble(mesh: Mesh, params: LameParams, bc: BoundaryCondition) -> Operators
     D = np.array(
         [[lam + 2 * mu, lam, 0.0], [lam, lam + 2 * mu, 0.0], [0.0, 0.0, mu]]
     )
-    Ke = np.einsum("eji,jk,ekl->eil", B, D, B) * area[:, None, None]
-
-    m_scalar = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    Me = np.zeros((nt, 6, 6))
-    for i in range(3):
-        for j in range(3):
-            Me[:, 2 * i, 2 * j] = m_scalar[i, j] * area
-            Me[:, 2 * i + 1, 2 * j + 1] = m_scalar[i, j] * area
+    Ke = B.transpose(0, 2, 1) @ (D @ B) * area[:, None, None]
+    Me = _UNIT_MASS * area[:, None, None]
 
     dofs = np.empty((nt, 6), dtype=np.int64)
     dofs[:, 0::2] = 2 * t

@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from ..errors import ParameterDomainError, SolverError
 from ..params import BoundaryCondition
@@ -76,6 +74,8 @@ class _BlockResult:
 
 
 def _dense_block(ops, blk, count, lambda_max) -> _BlockResult:
+    import scipy.linalg as sla
+
     A = blk.stiffness.toarray()
     M = blk.mass.toarray()
     if count is not None:
@@ -107,6 +107,8 @@ def _residuals(ops, blk, vals, vecs):
 
 def _factor(A, M, shift: float):
     """Symmetric-mode SuperLU of A - shift M: MMD on A^T + A, diagonal pivots only."""
+    import scipy.sparse.linalg as spla
+
     return spla.splu(
         (A - shift * M).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
@@ -137,6 +139,8 @@ def _lanczos_block(ops, blk, sigma: float, k: int, count, lambda_max) -> _BlockR
     computed values show at or above the ``count``-th value, or the first
     one at the cutoff.
     """
+    import scipy.sparse.linalg as spla
+
     A, M, n = blk.stiffness, blk.mass, blk.n
     k_cap = n - 2  # eigsh needs k < n - 1 on a sparse matrix
     op_inv = None

@@ -68,17 +68,12 @@ def unit_square_mesh(m: int) -> Mesh:
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return i * (m + 1) + j
-
-    tris = []
-    for i in range(m):
-        for j in range(m):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = _orient_ccw(vertices, np.array(tris, dtype=np.int32))
+    # cell (i, j) has corners v00 = i (m + 1) + j, v10, v01, v11
+    v00 = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
+    v10, v01, v11 = v00 + m + 1, v00 + 1, v00 + m + 2
+    # two triangles per cell, cell by cell
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    triangles = _orient_ccw(vertices, tris.astype(np.int32))
     eps = 1e-12
     boundary = (
         (vertices[:, 0] < eps)
@@ -95,38 +90,34 @@ def unit_disk_mesh(n_rings: int) -> Mesh:
     """Concentric rings with 6*i vertices on ring i; boundary exactly on the circle."""
     if n_rings < 2:
         raise MeshError("need at least 2 rings")
-    verts = [(0.0, 0.0)]
-    ring_start = [0]
-    for i in range(1, n_rings + 1):
-        ring_start.append(len(verts))
-        r = i / n_rings
-        cnt = 6 * i
-        for j in range(cnt):
-            th = 2.0 * math.pi * j / cnt
-            verts.append((r * math.cos(th), r * math.sin(th)))
-    vertices = np.array(verts)
-
+    # ring i holds 6i vertices from index 1 + 3i(i - 1) on
+    ring_start = [0] + [1 + 3 * i * (i - 1) for i in range(1, n_rings + 2)]
+    vertices = np.zeros((ring_start[-1], 2))
+    # the 60-degree turn maps vertex j of ring i to vertex j + i (mod 6i)
+    sixth_turn = np.zeros(len(vertices), dtype=np.int64)
     tris = []
     for i in range(1, n_rings + 1):
         out0, n_out = ring_start[i], 6 * i
+        j = np.arange(n_out)
+        th = 2.0 * math.pi * j / n_out
+        vertices[out0:out0 + n_out] = np.column_stack([i / n_rings * np.cos(th), i / n_rings * np.sin(th)])
+        sixth_turn[out0:out0 + n_out] = out0 + (j + i) % n_out
         if i == 1:
-            for j in range(n_out):
-                tris.append((0, out0 + j, out0 + (j + 1) % n_out))
+            tris.append(np.column_stack([np.zeros(n_out, dtype=np.int64), out0 + j, out0 + (j + 1) % n_out]))
             continue
         in0, n_in = ring_start[i - 1], 6 * (i - 1)
-        # merge-walk the two rings by angle
-        j = l = 0
-        while j < n_out or l < n_in:
-            adv_out = j < n_out and (
-                l >= n_in or (j + 1) / n_out <= (l + 1) / n_in
-            )
-            if adv_out:
-                tris.append((in0 + l % n_in, out0 + j, out0 + (j + 1) % n_out))
-                j += 1
-            else:
-                tris.append((in0 + l % n_in, out0 + j % n_out, in0 + (l + 1) % n_in))
-                l += 1
-    triangles = _orient_ccw(vertices, np.array(tris, dtype=np.int32))
+        # merge-walk the two rings by angle: the step past out-vertex j ends
+        # at (j + 1)/n_out, the step past in-vertex l at (l + 1)/n_in, and
+        # the steps go in the order of their ends, an out step first on a tie
+        l = np.arange(n_in)
+        out_end, in_end = (j + 1) / n_out, (l + 1) / n_in
+        in_before = np.searchsorted(in_end, out_end, side="left")  # in steps before out step j
+        out_before = np.searchsorted(out_end, in_end, side="right")  # out steps before in step l
+        ring = np.empty((n_out + n_in, 3), dtype=np.int64)
+        ring[j + in_before] = np.column_stack([in0 + in_before % n_in, out0 + j, out0 + (j + 1) % n_out])
+        ring[l + out_before] = np.column_stack([in0 + l, out0 + out_before % n_out, in0 + (l + 1) % n_in])
+        tris.append(ring)
+    triangles = _orient_ccw(vertices, np.concatenate(tris).astype(np.int32))
     boundary = np.zeros(len(vertices), dtype=bool)
     boundary[ring_start[n_rings]:] = True
     # longest edge over the mesh
@@ -135,8 +126,4 @@ def unit_disk_mesh(n_rings: int) -> Mesh:
         [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
     )
     h = float(np.max(np.linalg.norm(edges, axis=1)))
-    # the 60-degree turn maps vertex j of ring i to vertex j + i (mod 6i)
-    sixth_turn = np.zeros(len(vertices), dtype=np.int64)
-    for i in range(1, n_rings + 1):
-        sixth_turn[ring_start[i]:ring_start[i] + 6 * i] = ring_start[i] + (np.arange(6 * i) + i) % (6 * i)
     return Mesh(UNIT_DISK, h, vertices, triangles, boundary, 6, sixth_turn)

@@ -26,12 +26,15 @@ operators themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import MeshError
 from .assemble import Operators
+
+if TYPE_CHECKING:  # scipy loads with the first split, not with the package
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -73,6 +76,8 @@ def _orbits(mesh, kept):
 
 def symmetry_blocks(ops: Operators) -> list[SymmetryBlock]:
     """The blocks Q_m^H A Q_m, Q_m^H M Q_m for m = 0..N//2 (one block if N = 1)."""
+    import scipy.sparse as sp
+
     mesh = ops.mesh
     n_rot = mesh.rotation_order
     if n_rot == 1:

@@ -89,6 +89,15 @@ def test_spectrum_degenerate_potential_exit3(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_spectrum_fem_free_decoupled_exit3(tmp_path, capsys):
+    rc = run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "-1",
+              "--bc", "free", "--method", "fem", "--lambda-max", "60", "--h", "0.2",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "holomorphic" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_spectrum_analytic_wrong_lambda_exit3(tmp_path, capsys):
     rc = run(["spectrum", "--domain", "square", "--mu", "1", "--lambda", "0",
               "--bc", "dirichlet", "--method", "analytic", "--lambda-max", "100",

@@ -75,6 +75,15 @@ def test_alpha_one_degenerate():
         disk_spectrum_potential(LameParams(1.0, -1.0), BC.DIRICHLET, lambda_max=50.0)
 
 
+def test_alpha_one_free_recommends_no_other_route():
+    # traction free at lambda = -mu neither FEM nor a closed form has a spectrum
+    with pytest.raises(DegenerateDecompositionError, match="holomorphic") as exc:
+        disk_spectrum_potential(LameParams(1.0, -1.0), BC.FREE, lambda_max=50.0)
+    assert "FEM" not in str(exc.value) and "Bessel" not in str(exc.value)
+    with pytest.raises(DegenerateDecompositionError, match="FEM path"):
+        characteristic_det(1, 5.0, LameParams(1.0, -1.0), BC.DIRICHLET)
+
+
 def test_nonpositive_trial_eigenvalue():
     with pytest.raises(ParameterDomainError):
         characteristic_det(0, 0.0, P11, BC.DIRICHLET)

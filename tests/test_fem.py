@@ -7,12 +7,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from elastica.errors import MeshError, ParameterDomainError, SolverError
+from elastica.errors import MeshError, ParameterDomainError, SingularLimitError, SolverError
 from elastica.fem import (
     ExtrapolationResult,
     analytic_decoupled_spectrum,
     assemble,
     disk_dirichlet_spectrum,
+    fem_extrapolated_spectrum,
     fem_spectrum,
     min_angle_deg,
     refine_and_extrapolate,
@@ -290,6 +291,29 @@ def test_fem_spectrum_trust_threshold():
     assert sp.method.value == "fem"
     # degenerate doublets are merged
     assert sp.multiplicities[0] == 2
+
+
+def test_free_decoupled_dilation_has_zero_energy():
+    # u = (x, y), i.e. u_1 + i u_2 = z: no energy at lambda = -mu, 4 mu |Omega| otherwise
+    mesh = unit_disk_mesh(6)
+    u = mesh.vertices.ravel()
+    assert abs(u @ (assemble(mesh, PDEC, BC.FREE).stiffness @ u)) < 1e-12
+    assert u @ (assemble(mesh, LameParams(1.0, -0.5), BC.FREE).stiffness @ u) > 1.0
+
+
+@pytest.mark.parametrize("domain", [UNIT_DISK, UNIT_SQUARE], ids=["disk", "square"])
+def test_free_decoupled_fem_spectra_refused(domain):
+    with pytest.raises(SingularLimitError, match="holomorphic"):
+        fem_spectrum(domain, PDEC, BC.FREE, 8, 60.0)
+    with pytest.raises(SingularLimitError, match="holomorphic"):
+        fem_extrapolated_spectrum(domain, PDEC, BC.FREE, [4, 8, 16], 60.0)
+
+
+def test_dirichlet_decoupled_fem_spectrum_still_solves():
+    sp = fem_spectrum(UNIT_DISK, PDEC, BC.DIRICHLET, 24, 60.0)
+    exact = disk_dirichlet_spectrum(1.0, sp.lambda_max)
+    assert sp.total_count == exact.total_count == 16
+    assert abs(sp.eigenvalues[0] / exact.eigenvalues[0] - 1.0) < 0.02
 
 
 def _sparse_ops(rings, params, bc):
