@@ -114,7 +114,7 @@ def unit_disk_mesh(n_rings: int) -> Mesh:
         in_before = np.searchsorted(in_end, out_end, side="left")  # in steps before out step j
         out_before = np.searchsorted(out_end, in_end, side="right")  # out steps before in step l
         ring = np.empty((n_out + n_in, 3), dtype=np.int64)
-        ring[j + in_before] = np.column_stack([in0 + in_before % n_in, out0 + j, out0 + (j + 1) % n_out])
+        ring[j + in_before] = np.column_stack([in0 + in_before, out0 + j, out0 + (j + 1) % n_out])
         ring[l + out_before] = np.column_stack([in0 + l, out0 + out_before % n_out, in0 + (l + 1) % n_in])
         tris.append(ring)
     triangles = _orient_ccw(vertices, np.concatenate(tris).astype(np.int32))
