@@ -125,10 +125,11 @@ def heat_trace(spectrum: Spectrum, t_grid) -> HeatTrace:
     tails = _tail_bound(spectrum, a_coeff, t)
     bad = tails > TAIL_FRACTION * z
     if np.any(bad):
+        t_min = min_admissible_t(spectrum)
         raise TailBoundError(
             f"t={t[bad].min():g} too small for cutoff lambda_max={spectrum.lambda_max:g}; "
-            f"minimal admissible t is {min_admissible_t(spectrum):g}",
-            t_min=min_admissible_t(spectrum),
+            f"minimal admissible t is {t_min:g}",
+            t_min=t_min,
         )
     return HeatTrace(t=t, values=z, tail_bounds=tails)
 
@@ -295,11 +296,8 @@ def prop71_empirical(
         raise ParameterDomainError("spectra must share the material parameters")
     if abs(sd.lambda_max - sf.lambda_max) > 1e-9 * max(sd.lambda_max, sf.lambda_max):
         raise ParameterDomainError("spectra must share lambda_max")
-    t = np.geomspace(
-        max(min_admissible_t(sd), min_admissible_t(sf)),
-        10.0 * max(min_admissible_t(sd), min_admissible_t(sf)),
-        24,
-    )
+    t_min = max(min_admissible_t(sd), min_admissible_t(sf))
+    t = np.geomspace(t_min, 10.0 * t_min, 24)
     zd = heat_trace(sd, t).values
     zf = heat_trace(sf, t).values
     _, c1_sum, *_ = fit_heat_samples(t, 0.5 * (zd + zf))

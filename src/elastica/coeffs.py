@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterDomainError, SingularLimitError
 from .params import BoundaryCondition, LameParams, check_dimension
 from .specfun import QuadratureSpec, find_root, gamma_fn, integrate
@@ -109,7 +111,7 @@ def _dirichlet_integral(alpha: float, n: int) -> float:
 
     def f(tau):
         arg = (1.0 - alpha / tau**2) * (1.0 / tau**2 - 1.0)
-        return tau ** (n - 2) * math.atan(math.sqrt(max(arg, 0.0)))
+        return tau ** (n - 2) * np.arctan(np.sqrt(np.maximum(arg, 0.0)))
 
     return integrate(f, math.sqrt(alpha), 1.0, _BD_QUAD).value
 
@@ -120,11 +122,12 @@ def _free_integral(alpha: float, n: int) -> float:
 
     def f(tau):
         it2 = 1.0 / tau**2
-        den = 4.0 * math.sqrt(max((1.0 - alpha * it2) * (it2 - 1.0), 0.0))
+        den = 4.0 * np.sqrt(np.maximum((1.0 - alpha * it2) * (it2 - 1.0), 0.0))
         num = (it2 - 2.0) ** 2
-        if den == 0.0:
-            return tau ** (n - 2) * (0.0 if num == 0.0 else math.pi / 2.0)
-        return tau ** (n - 2) * math.atan(num / den)
+        # atan(num / 0) is pi/2, or 0 where num vanishes too
+        flat = den == 0.0
+        limit = np.where(num == 0.0, 0.0, math.pi / 2.0)
+        return tau ** (n - 2) * np.where(flat, limit, np.arctan(num / np.where(flat, 1.0, den)))
 
     # the integrand dips to zero at tau = 1/sqrt(2); split there when interior
     sa = math.sqrt(alpha)

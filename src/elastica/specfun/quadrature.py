@@ -4,12 +4,18 @@ The rule suits the boundary-coefficient integrands, whose arctan arguments
 are endpoint-singular (value finite, derivative not).
 Nodes are generated from their distance to the interval endpoints so that
 integrands are never evaluated at the endpoints themselves.
+
+Integrands take a float array of abscissae and return an array of the same
+shape: each refinement level is one call on all of its nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import ParameterDomainError
 
@@ -37,29 +43,37 @@ class IntegrationResult:
         return self.value
 
 
+@functools.cache
 def _tanh_sinh_level(level):
-    """Nodes for refinement `level` as (offset-from-endpoint, weight) pairs.
+    """Nodes of refinement `level`: (offsets q, weights w, centre weight).
 
     Level 0 is the base mesh h=1 (all j); level l>0 contributes the odd
     multiples of h = 2**-l.  Offsets q = 1 - |tanh((pi/2) sinh(jh))| are
-    computed in a cancellation-free form.
+    computed in a cancellation-free form; j = 0 is the interval centre,
+    whose weight is returned apart (0.0 above level 0, which has no centre).
+    The nodes stop at the first j with (pi/2) sinh(jh) > 350 or w < 1e-300,
+    so only the surviving nodes are stored (49,829 at level 14).  They are
+    built once per level with libm's sinh, cosh and exp (numpy's differ in
+    the last bit) and returned read-only, since every caller shares them.
     """
     h = 2.0 ** (-level)
-    js = range(0, 400) if level == 0 else range(1, 400 * 2 ** level, 2)
-    nodes = []
-    for j in js:
+    q, w = [], []
+    for j in range(1, 400 * 2**level, 1 if level == 0 else 2):
         t = j * h
         st = math.pi / 2.0 * math.sinh(t)
         if st > 350.0:
             break
         ch = math.cosh(t)
         sech2 = 1.0 / math.cosh(st) ** 2
-        w = (math.pi / 2.0) * ch * sech2 * h
-        if w < 1e-300:
+        wj = (math.pi / 2.0) * ch * sech2 * h
+        if wj < 1e-300:
             break
-        q = 2.0 / (1.0 + math.exp(2.0 * st))  # 1 - tanh(st)
-        nodes.append((j == 0, q, w))
-    return nodes
+        q.append(2.0 / (1.0 + math.exp(2.0 * st)))  # 1 - tanh(st)
+        w.append(wj)
+    q, w = np.array(q), np.array(w)
+    q.flags.writeable = w.flags.writeable = False
+    centre = math.pi / 2.0 if level == 0 else 0.0  # the j = 0 weight at h = 1
+    return q, w, centre
 
 
 def _tanh_sinh(f, a, b, spec):
@@ -69,15 +83,14 @@ def _tanh_sinh(f, a, b, spec):
     prev = None
     err = math.inf
     for level in range(spec.max_refinements + 1):
-        acc = 0.0
-        for center, q, w in _tanh_sinh_level(level):
-            if center:
-                acc += w * f(a + half)
-                evals += 1
-            else:
-                d = half * q
-                acc += w * (f(a + d) + f(b - d))
-                evals += 2
+        q, w, centre = _tanh_sinh_level(level)
+        d = half * q
+        fx = f(np.concatenate(([a + half] if level == 0 else [], a + d, b - d)))
+        evals += fx.size
+        m = q.size
+        acc = float(w @ (fx[-2 * m : -m] + fx[-m:]))
+        if level == 0:
+            acc += centre * float(fx[0])
         # node weights already carry their level's step size
         total = acc * half if level == 0 else 0.5 * total + acc * half
         if prev is not None:
@@ -93,8 +106,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
 
     Returns a flagged result; ``converged`` is False when the refinement cap
     was hit before the tolerance.  The empty interval integrates to 0.
-    f must be finite on the open interval; endpoint-singular derivatives are
-    fine.
+    f maps a float array of abscissae to an array of values of the same
+    shape, and must be finite on the open interval; endpoint-singular
+    derivatives are fine.
     """
     if spec is None:
         spec = QuadratureSpec()

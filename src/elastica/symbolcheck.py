@@ -11,12 +11,12 @@ is supposed to equal:
   quarter-sum of boundary Gaussians, plus the exponentially small
   truncation tail.
 * ``prop71_analytic``: chains the three into the cancellation verdict for
-  the averaged Dirichlet/free kernel.
+  the averaged Dirichlet/free kernel (``prop71_verdict`` builds it from
+  gaps already computed).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +38,10 @@ _POLE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SymbolPoint:
-    """Momentum/resolvent evaluation point for the symbol trace."""
+    """Momentum/resolvent evaluation point for the symbol trace.
+
+    ``tau`` is one complex number or an array of them (a contour's points).
+    """
 
     xi_norm2: float
     tau: complex
@@ -59,21 +62,23 @@ class SymbolPoint:
         return (2.0 * self.params.mu + self.params.lam) * self.xi_norm2
 
 
-def trace_q2(point: SymbolPoint) -> complex:
+def trace_q2(point: SymbolPoint) -> complex | np.ndarray:
     """Trace of the leading resolvent symbol at a flat point.
 
     n/(tau - mu|xi|^2) + (mu+lambda)|xi|^2 /
-    ((tau - mu|xi|^2)(tau - (2mu+lambda)|xi|^2)).
+    ((tau - mu|xi|^2)(tau - (2mu+lambda)|xi|^2)), elementwise over an array
+    ``tau``; raises if any tau lies within the pole tolerance.
     """
-    tau = complex(point.tau)
+    tau = np.asarray(point.tau, dtype=complex)
     mu, lam, n = point.params.mu, point.params.lam, point.n
     xi2 = point.xi_norm2
-    scale = max(abs(tau), mu * xi2, (2 * mu + lam) * xi2, 1.0)
+    scale = np.maximum(np.abs(tau), max(mu * xi2, (2 * mu + lam) * xi2, 1.0))
     d1 = tau - mu * xi2
     d2 = tau - (2.0 * mu + lam) * xi2
-    if min(abs(d1), abs(d2)) < _POLE_TOL * scale:
+    near = np.minimum(np.abs(d1), np.abs(d2)) < _POLE_TOL * scale
+    if np.any(near):
         raise ParameterDomainError(
-            f"tau={tau} within {_POLE_TOL}*scale of a symbol pole "
+            f"tau={complex(tau.flat[np.argmax(near)])} within {_POLE_TOL}*scale of a symbol pole "
             f"({mu * xi2:g} or {(2 * mu + lam) * xi2:g})"
         )
     return n / d1 + (mu + lam) * xi2 / (d1 * d2)
@@ -103,7 +108,7 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int, rel_tol:
 
     def g(tau):
         pt = SymbolPoint(xi_norm2=xi_norm2, tau=tau, params=params, n=n)
-        return cmath.exp(-t * tau) * trace_q2(pt)
+        return np.exp(-t * tau) * trace_q2(pt)
 
     res = contour_integral(g, spec, rel_tol=rel_tol)
     closed = (n - 1) * math.exp(-t * p1) + math.exp(-t * p2)
@@ -137,7 +142,7 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
 
     def f(r):
         return r ** (n - 1) * (
-            (n - 1) * math.exp(-t * c1 * r * r) + math.exp(-t * c2 * r * r)
+            (n - 1) * np.exp(-t * c1 * r * r) + np.exp(-t * c2 * r * r)
         )
 
     val = sphere / (2.0 * math.pi) ** n * integrate(f, 0.0, rmax, _QUAD).value
@@ -165,9 +170,9 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
     c1, c2 = mu, 2.0 * mu + lam
 
     def f(s):
-        return (n - 1) / (4.0 * math.pi * c1 * t) ** (n / 2.0) * math.exp(
+        return (n - 1) / (4.0 * math.pi * c1 * t) ** (n / 2.0) * np.exp(
             -(2.0 * s) ** 2 / (4.0 * c1 * t)
-        ) + 1.0 / (4.0 * math.pi * c2 * t) ** (n / 2.0) * math.exp(
+        ) + 1.0 / (4.0 * math.pi * c2 * t) ** (n / 2.0) * np.exp(
             -(2.0 * s) ** 2 / (4.0 * c2 * t)
         )
 
@@ -212,16 +217,28 @@ STANDARD_XI2 = (0.0, 1.0, 10.0)
 def prop71_analytic(params: LameParams, n: int) -> Prop71Verdict:
     """Chain the residue, interior, and boundary-layer checks into the verdict.
 
+    Runs each check on the standard grids (``STANDARD_T`` x ``STANDARD_XI2``)
+    and hands the gaps to ``prop71_verdict``.
+    """
+    check_dimension(n)
+    return prop71_verdict(
+        params,
+        n,
+        [residue_heat(t, xi2, params, n).rel_gap for t in STANDARD_T for xi2 in STANDARD_XI2],
+        [interior_coefficient(t, params, n).rel_gap for t in STANDARD_T],
+        [boundary_layer(t, params, n).rel_gap for t in STANDARD_T],
+    )
+
+
+def prop71_verdict(params: LameParams, n: int, residue_gaps, interior_gaps, boundary_gaps) -> Prop71Verdict:
+    """The cancellation verdict from the gaps of checks already run.
+
     When every numeric sub-check passes, the averaged Dirichlet/free kernel
     has no interior-origin t^{-(n-1)/2} term, so the heat half-sum
     coefficients cancel; the Gamma-factor conversion carries that to the
     counting coefficients: d1^- + d1^+ = 0 implies b1^- + b1^+ = 0.
     """
-    check_dimension(n)
-    rg = [residue_heat(t, xi2, params, n).rel_gap for t in STANDARD_T for xi2 in STANDARD_XI2]
-    ig = [interior_coefficient(t, params, n).rel_gap for t in STANDARD_T]
-    bg = [boundary_layer(t, params, n).rel_gap for t in STANDARD_T]
-    ok = max(rg) <= 1e-8 and max(ig) <= 1e-9 and max(bg) <= 1e-9
+    ok = max(residue_gaps) <= 1e-8 and max(interior_gaps) <= 1e-9 and max(boundary_gaps) <= 1e-9
     gb = gamma_fn(1.0 + (n - 1) / 2.0)
     conclusion = (
         "interior expansion carries integer powers t^{l-n/2} only, so the "
@@ -231,9 +248,9 @@ def prop71_analytic(params: LameParams, n: int) -> Prop71Verdict:
     return Prop71Verdict(
         params=params,
         n=n,
-        residue_gaps=rg,
-        interior_gaps=ig,
-        boundary_gaps=bg,
+        residue_gaps=list(residue_gaps),
+        interior_gaps=list(interior_gaps),
+        boundary_gaps=list(boundary_gaps),
         passed=ok,
         conclusion=conclusion,
     )

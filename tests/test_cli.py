@@ -206,6 +206,37 @@ def test_verify_all_pass(tmp_path, capsys):
     assert "tolerance" in rep["outputs"]["residue"]
 
 
+@pytest.mark.parametrize("mu,lam,dim", [("1", "1", "2"), ("0.5", "10", "3")])
+def test_verify_all_equals_each_suite_alone(tmp_path, monkeypatch, capsys, mu, lam, dim):
+    # (0.5, 10) fails its t = 1, |xi|^2 = 10 contour, so a FAIL verdict is compared too
+    import elastica.cli as cli
+
+    calls = {}
+    for name in ("residue_heat", "interior_coefficient", "boundary_layer", "prop71_analytic"):
+        def counted(*a, _f=getattr(cli, name), _name=name, **k):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*a, **k)
+        monkeypatch.setattr(cli, name, counted)
+
+    def outputs(suite):
+        path = tmp_path / f"{suite}.json"
+        rc = run(["verify", "--suite", suite, "--mu", mu, "--lambda", lam, "--dim", dim,
+                  "--json", str(path)])
+        return rc, json.loads(path.read_text())["outputs"]
+
+    rc_all, every = outputs("all")
+    assert calls == {"residue_heat": 9, "interior_coefficient": 3, "boundary_layer": 3}
+    alone = {}
+    rcs = set()
+    for suite in ("residue", "interior", "boundary", "prop71"):
+        rc, out = outputs(suite)
+        rcs.add(rc)
+        alone.update(out)
+    assert every == alone
+    assert rc_all == max(rcs)
+    capsys.readouterr()
+
+
 def test_verify_residue_dim3(capsys):
     rc = run(["verify", "--suite", "residue", "--mu", "2", "--lambda", "0", "--dim", "3"])
     assert rc == 0

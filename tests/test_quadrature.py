@@ -1,6 +1,5 @@
 """Quadrature, root finding, and contour integration."""
 
-import cmath
 import math
 
 import numpy as np
@@ -30,12 +29,12 @@ def test_linear():
 
 
 def test_endpoint_singular_derivative():
-    r = integrate(lambda t: math.sqrt(t), 0.0, 1.0, DE)
+    r = integrate(lambda t: np.sqrt(t), 0.0, 1.0, DE)
     assert abs(r.value - 2.0 / 3.0) < 1e-12
 
 
 def test_inverse_sqrt_singularity():
-    r = integrate(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, DE)
+    r = integrate(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0, DE)
     assert abs(r.value - 2.0) < 1e-11
     assert r.converged
 
@@ -52,14 +51,14 @@ def test_arctan_integrand_vs_riemann_oracle():
     n = 1_000_000
     mids = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     oracle = float(np.sum(f(mids)) * (hi - lo) / n)
-    r = integrate(lambda t: float(f(t)), lo, hi, DE)
+    r = integrate(f, lo, hi, DE)
     assert r.converged
     assert abs(r.value - oracle) < 1e-9
 
 
 def test_refinement_cap_flags_not_raises():
     slow = QuadratureSpec(rel_tol=1e-12, max_refinements=1)
-    r = integrate(lambda t: math.sin(103.0 * t) ** 2 / math.sqrt(t), 0.0, 1.0, slow)
+    r = integrate(lambda t: np.sin(103.0 * t) ** 2 / np.sqrt(t), 0.0, 1.0, slow)
     assert not r.converged
 
 
@@ -70,6 +69,78 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=1e-3)
     with pytest.raises(ParameterDomainError):
         integrate(lambda t: t, 1.0, 0.0)
+
+
+def _scalar_level(level):
+    """The scalar node loop the cached arrays replace: (is_centre, q, w) per node."""
+    h = 2.0 ** (-level)
+    js = range(0, 400) if level == 0 else range(1, 400 * 2 ** level, 2)
+    nodes = []
+    for j in js:
+        t = j * h
+        st = math.pi / 2.0 * math.sinh(t)
+        if st > 350.0:
+            break
+        ch = math.cosh(t)
+        sech2 = 1.0 / math.cosh(st) ** 2
+        w = (math.pi / 2.0) * ch * sech2 * h
+        if w < 1e-300:
+            break
+        q = 2.0 / (1.0 + math.exp(2.0 * st))
+        nodes.append((j == 0, q, w))
+    return nodes
+
+
+@pytest.mark.parametrize("level", range(15))
+def test_node_arrays_equal_scalar_loop(level):
+    from elastica.specfun.quadrature import _tanh_sinh_level
+
+    q, w, centre = _tanh_sinh_level(level)
+    nodes = _scalar_level(level)
+    if level == 0:
+        assert nodes[0][0] and centre == nodes[0][2]
+        nodes = nodes[1:]
+    else:
+        assert centre == 0.0
+    assert np.array_equal(q, [n[1] for n in nodes]) and np.array_equal(w, [n[2] for n in nodes])
+    assert w.min() >= 1e-300 and not (q.flags.writeable or w.flags.writeable)
+    assert _tanh_sinh_level(level)[0] is q
+
+
+def test_integrate_calls_f_once_per_level():
+    from elastica.specfun.quadrature import _tanh_sinh_level
+
+    for spec, converged in ((DE, True), (QuadratureSpec(rel_tol=1e-12, max_refinements=1), False)):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return np.sin(103.0 * t) ** 2 / np.sqrt(t)
+
+        r = integrate(f, 0.0, 1.0, spec)
+        levels = [_tanh_sinh_level(level)[0].size for level in range(len(sizes))]
+        assert sizes == [1 + 2 * levels[0]] + [2 * m for m in levels[1:]]
+        assert r.converged == converged and sum(sizes) == r.evaluations
+    assert len(sizes) == 2
+
+
+def test_contour_calls_g_once_per_doubling():
+    sizes = []
+
+    def counted(g):
+        def inner(tau):
+            sizes.append(tau.size)
+            return g(tau)
+        return inner
+
+    r = contour_integral(counted(lambda tau: 1.0 / (tau - 1.999999)),
+                         ContourSpec(center=1.0, radius=1.0, panels=8), max_doublings=2)
+    assert not r.converged and sizes == [8, 8, 16] and r.panels == 32
+    sizes.clear()
+    r = contour_integral(counted(lambda tau: np.exp(-tau) / (tau - 2.0)),
+                         ContourSpec(center=2.0, radius=4.0, panels=8))
+    assert r.converged and len(sizes) > 2
+    assert sizes == [8] + [8 * 2**i for i in range(len(sizes) - 1)] and sum(sizes) == r.panels
 
 
 def test_find_root_sqrt2():
@@ -125,7 +196,7 @@ def test_contour_single_residue():
     t = 0.7
     mu_xi2 = 2.0
     r = contour_integral(
-        lambda tau: cmath.exp(-t * tau) / (tau - mu_xi2),
+        lambda tau: np.exp(-t * tau) / (tau - mu_xi2),
         ContourSpec(center=mu_xi2, radius=1.0),
     )
     assert abs(r.value - math.exp(-t * mu_xi2)) < 1e-12

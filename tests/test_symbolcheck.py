@@ -54,6 +54,16 @@ def test_trace_pole_error():
         trace_q2(SymbolPoint(xi_norm2=1.0, tau=1.0 + 0.0j, params=P11, n=2))
 
 
+def test_trace_array_matches_points_and_raises_on_a_pole():
+    taus = np.array([2.0 + 1.0j, -3.0 + 0.5j, 7.5 - 2.0j, 4.0 + 0.0j])
+    vals = trace_q2(SymbolPoint(xi_norm2=1.5, tau=taus, params=P11, n=3))
+    for tau, val in zip(taus, vals):
+        assert val == trace_q2(SymbolPoint(xi_norm2=1.5, tau=complex(tau), params=P11, n=3))
+    # the pressure pole (2 mu + lambda)|xi|^2 = 4.5 in the middle of the array
+    with pytest.raises(ParameterDomainError, match="tau=\\(4.5"):
+        trace_q2(SymbolPoint(xi_norm2=1.5, tau=np.array([1.0j, 4.5 + 0.0j, 2.0 + 1.0j]), params=P11, n=3))
+
+
 def test_residue_xi_zero_gives_n():
     for n in (2, 3, 5):
         rep = residue_heat(0.5, 0.0, P11, n)
