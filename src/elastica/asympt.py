@@ -16,28 +16,24 @@ import numpy as np
 
 from .coeffs import Theory, boundary_coefficient, weyl_a
 from .errors import ParameterDomainError, TailBoundError, WindowError
-from .params import DomainGeometry
 from .specfun import gamma_fn
 from .spectrum import Spectrum
 
 TAIL_FRACTION = 1e-6
 
 
-@dataclass
-class CountingSeries:
-    source: Spectrum
-    grid: np.ndarray
-    values: np.ndarray  # exact counts with multiplicity
-
-
-def counting(spectrum: Spectrum, lambda_grid) -> CountingSeries:
-    """Exact N(lambda) = #{tau < lambda} on the grid; grid must respect the cutoff."""
+def _grid_below_cutoff(spectrum: Spectrum, lambda_grid) -> np.ndarray:
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size and grid.max() > spectrum.lambda_max * (1 + 1e-12):
         raise ParameterDomainError(
             f"grid exceeds the spectrum cutoff lambda_max={spectrum.lambda_max}"
         )
-    return CountingSeries(source=spectrum, grid=grid, values=spectrum.count_below(grid))
+    return grid
+
+
+def counting(spectrum: Spectrum, lambda_grid) -> np.ndarray:
+    """Exact N(lambda) = #{tau < lambda} with multiplicity; the grid must respect the cutoff."""
+    return spectrum.count_below(_grid_below_cutoff(spectrum, lambda_grid))
 
 
 @dataclass
@@ -47,24 +43,25 @@ class RemainderSeries:
     cesaro: np.ndarray  # (1/lambda) int_0^lambda R
 
 
-def remainder_series(series: CountingSeries, a_coeff: float, geometry: DomainGeometry) -> RemainderSeries:
+def remainder_series(spectrum: Spectrum, lambda_grid, a_coeff: float) -> RemainderSeries:
     """R(lambda) = (N - a Vol lambda) / (Vol_1 sqrt(lambda)) plus its Cesaro mean.
 
-    The running integral mean suppresses the step oscillation of N.  For step
-    N it is exact in closed form: int_0^lambda N(s) s^{-1/2} ds
+    The grid must be positive and respect the cutoff.  The running integral
+    mean suppresses the step oscillation of N.  For step N it is exact in
+    closed form: int_0^lambda N(s) s^{-1/2} ds
     = 2 (N(lambda) sqrt(lambda) - sum_{tau < lambda} mult sqrt(tau)).
     """
-    grid = series.grid
+    grid = _grid_below_cutoff(spectrum, lambda_grid)
     if np.any(grid <= 0):
         raise ParameterDomainError("remainder grid must be positive")
-    av = a_coeff * geometry.volume
-    L = geometry.boundary_length
+    av = a_coeff * spectrum.domain.volume
+    L = spectrum.domain.boundary_length
     root = np.sqrt(grid)
-    raw = (series.values - av * grid) / (L * root)
-    sp = series.source
-    idx = np.searchsorted(sp.eigenvalues, grid, side="left")  # tau < lambda, as in N
-    counts = np.concatenate([[0], np.cumsum(sp.multiplicities)])[idx]
-    root_sums = np.concatenate([[0.0], np.cumsum(sp.multiplicities * np.sqrt(sp.eigenvalues))])[idx]
+    idx = np.searchsorted(spectrum.eigenvalues, grid, side="left")  # tau < lambda, as in N
+    mults = spectrum.multiplicities
+    counts = np.concatenate([[0], np.cumsum(mults)])[idx]
+    root_sums = np.concatenate([[0.0], np.cumsum(mults * np.sqrt(spectrum.eigenvalues))])[idx]
+    raw = (counts - av * grid) / (L * root)
     integral = (2.0 * (counts * root - root_sums) - (2.0 / 3.0) * av * grid * root) / L
     return RemainderSeries(grid=grid, raw=raw, cesaro=integral / grid)
 
@@ -204,8 +201,7 @@ def fit_two_term(spectrum: Spectrum, model: str, window=None) -> FitReport:
         lam = np.asarray(window, dtype=float)
         if lam.size < 8:
             raise WindowError("need >= 8 samples in the fit window")
-        series = counting(spectrum, lam)
-        rem = remainder_series(series, weyl_a(params, 2), geometry)
+        rem = remainder_series(spectrum, lam, weyl_a(params, 2))
         b_hat = float(np.mean(rem.cesaro))
         resid = float(np.std(rem.cesaro) / max(abs(b_hat), 1e-300))
         estimates = (b_hat,)

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .adjudicate import compare_spectra
 from .asympt import (
-    counting,
     fit_two_term,
     heat_trace,
     min_admissible_t,
@@ -224,7 +223,7 @@ def cmd_fit(parser, args) -> int:
             grid = np.linspace(*rep.window, 400)
             write_remainder_csv(
                 args.csv,
-                remainder_series(counting(spectrum, grid), weyl_a(spectrum.params, 2), spectrum.domain),
+                remainder_series(spectrum, grid, weyl_a(spectrum.params, 2)),
             )
     boundary_est = rep.estimates[-1]
     boundary_shift = rep2.estimates[-1]

@@ -22,7 +22,7 @@ from .analytic import (
     square_neumann_lattice_spectrum,
 )
 from .assemble import Operators, assemble
-from .eigs import EigResult, solve_eigs
+from .eigs import EigResult, solve_eigs, weyl_count_estimate
 from .mesh import Mesh, min_angle_deg, unit_disk_mesh, unit_square_mesh
 from .refine import ExtrapolationResult, build_mesh, refine_and_extrapolate
 
@@ -50,10 +50,6 @@ __all__ = [
 
 # eigenvalues asked for beyond the Weyl estimate of the count below the cutoff
 _EXTRA_COUNT = 12
-# boundary coefficient assumed where a theory's is infinite (CFLV, traction
-# free, alpha = 1): there the discrete count depends on the mesh, and 12- to
-# 48-ring disks at cutoffs 30-100 show an effective b of 0.6-1.1
-_SINGULAR_B = 1.0
 # |alpha - 1| up to which lambda = -mu (as diskmodes' degenerate potential split)
 _ALPHA_DECOUPLED_TOL = 1e-12
 
@@ -73,26 +69,14 @@ def _refuse_free_decoupled(params: LameParams, bc: BoundaryCondition) -> None:
         )
 
 
-def weyl_count_estimate(
-    params: LameParams, domain: DomainGeometry, lambda_max: float, bc: BoundaryCondition
-) -> float:
-    """Two-term estimate of N(lambda_max), used to size eigensolves.
-
-    The leading term is common to both theories.  The boundary term takes
-    the largest b of the theories, so that the estimate presupposes neither,
-    and ``_SINGULAR_B`` for a theory whose b is infinite.
-    """
-    from ..coeffs import Theory, boundary_coefficient, weyl_a
-
-    bs = []
-    for theory in Theory:
-        try:
-            bs.append(boundary_coefficient(params, 2, bc, theory))
-        except SingularLimitError:
-            bs.append(_SINGULAR_B)
-    lead = weyl_a(params, 2) * domain.volume * lambda_max
-    est = lead + max(bs) * domain.boundary_length * np.sqrt(lambda_max)
-    return max(est, 0.5 * lead)
+def _finish(vals: np.ndarray, bc: BoundaryCondition, lambda_max: float):
+    """(values, multiplicities) below lambda_max of ascending FEM values,
+    merged at relative gap 1e-6; traction free, the numerically zero rigid
+    modes are set to 0 and rounding below 0 is clamped."""
+    if bc is BoundaryCondition.FREE:
+        vals = np.where(np.abs(vals) < 1e-8 * vals.max(initial=1.0), 0.0, vals)
+        vals = np.maximum(vals, 0.0)
+    return merge_close(vals[vals < lambda_max], rel_gap=1e-6)
 
 
 def _block_label(sizes) -> str:
@@ -131,12 +115,8 @@ def fem_extrapolated_spectrum(
             )
     order = np.argsort(ex.extrapolated)
     vals = ex.extrapolated[order]
-    errs = ex.error_estimate[order]
-    if bc is BoundaryCondition.FREE:
-        vals = np.where(np.abs(vals) < 1e-8 * max(1.0, abs(vals[-1])), 0.0, vals)
-        vals = np.maximum(vals, 0.0)
-    keep = vals < lambda_max
-    reps, mults = merge_close(vals[keep], rel_gap=1e-6)
+    errs = ex.error_estimate[order][vals < lambda_max]
+    reps, mults = _finish(vals, bc, lambda_max)
     spectrum = Spectrum(
         domain=domain,
         bc=bc,
@@ -148,7 +128,7 @@ def fem_extrapolated_spectrum(
         method=Method.FEM,
         meta={
             "resolutions": "/".join(str(r) for r in resolutions),
-            "max_error_estimate": repr(float(errs[keep].max()) if keep.any() else 0.0),
+            "max_error_estimate": repr(float(errs.max(initial=0.0))),
             "symmetry": f"C{ex.rotation_order}",
             "blocks": ",".join(_block_label(b) for b in ex.block_sizes),
         },
@@ -175,11 +155,7 @@ def fem_spectrum(
     trust = (0.5 / mesh.h) ** 2
     lam_cap = min(lambda_max, trust)
     sol = solve_eigs(assemble(mesh, params, bc), lambda_max=lam_cap)
-    vals = sol.values
-    if bc is BoundaryCondition.FREE:
-        vals = np.where(np.abs(vals) < 1e-8 * max(1.0, vals.max(initial=1.0)), 0.0, vals)
-        vals = np.maximum(vals, 0.0)
-    reps, mults = merge_close(np.sort(vals), rel_gap=1e-6)
+    reps, mults = _finish(sol.values, bc, lam_cap)
     return Spectrum(
         domain=domain,
         bc=bc,

@@ -8,26 +8,34 @@ a single block, the operators themselves.  Blocks with 0 < 2m < N are
 complex Hermitian and their values count twice, once for m and once for
 N - m.  Each block is solved and certified on its own.
 
-Up to ``_DENSE_LIMIT`` unknowns (400) LAPACK computes just the requested
-eigenvalues of a block.  Larger blocks factor ``A - sigma M`` once with
-SuperLU, ordered by minimum degree on ``A^T + A`` with diagonal pivots only
-(symmetric mode), and hand the factor to ARPACK's implicitly restarted
-Lanczos method (``scipy.sparse.linalg.eigsh``; Arnoldi on a complex block)
-as the shift-invert operator.  sigma sits below the spectrum, so
-``A - sigma M`` is positive definite and diagonal pivoting is stable.  The
-ordering must not be used with SuperLU's default partial pivoting: on an
-indefinite matrix, such as the inertia check's below, row interchanges
-break the symmetric structure the ordering was computed for and the fill
-grows tenfold.
+A block solve computes the lowest k eigenvalues of the block, by LAPACK up
+to ``_DENSE_LIMIT`` unknowns (400).  Larger blocks factor ``A - sigma M``
+once with SuperLU, ordered by minimum degree on ``A^T + A`` with diagonal
+pivots only (symmetric mode), and hand the factor to ARPACK's implicitly
+restarted Lanczos method (``scipy.sparse.linalg.eigsh``; Arnoldi on a
+complex block) as the shift-invert operator.  sigma sits below the
+spectrum, so ``A - sigma M`` is positive definite and diagonal pivoting is
+stable.  The ordering must not be used with SuperLU's default partial
+pivoting: on an indefinite matrix, such as the inertia check's below, row
+interchanges break the symmetric structure the ordering was computed for
+and the fill grows tenfold.
 
 Each returned set carries two certificates: the residual of every pair, and
 an inertia count.  Residuals are measured on the full A and M after the
 block's vectors are lifted back by Q_m, so they check the reduction too.  By
 Sylvester's law the negative pivots of a symmetric-mode LU of
 ``A_m - tau M_m`` count the block's eigenvalues below tau; tau is put in a
-gap above the block's returned set, so a multiplet copy the iteration
-dropped (which no residual can reveal) shows as a mismatch.  The blocks'
-counts add up to the inertia of the whole problem.
+gap of the computed values and the block returns those below it, so a
+multiplet copy the iteration dropped (which no residual can reveal) shows
+as a mismatch.  The blocks' counts add up to the inertia of the whole
+problem.
+
+One rule places tau in both request modes: the lowest genuine gap above a
+cap, otherwise the highest one.  The cap is the cutoff in cutoff mode, so
+every block is certified through the cutoff; in count mode it is infinite.
+While some block's tau does not exceed the target (the cutoff, or the
+``count``-th value of the union of the blocks), the block with the lowest
+tau is solved again, on a new factor, for 1.6x as many values.
 """
 
 from __future__ import annotations
@@ -36,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterDomainError, SolverError
-from ..params import BoundaryCondition
+from ..coeffs import Theory, boundary_coefficient, weyl_a
+from ..errors import ParameterDomainError, SingularLimitError, SolverError
+from ..params import BoundaryCondition, DomainGeometry, LameParams
 from .assemble import Operators
 from .symmetry import symmetry_blocks
 
@@ -49,6 +58,10 @@ _RESID_TOL = 1e-8
 # values asked for beyond the needed ones, so that the gap above the last
 # needed value is seen even when it opens a fourfold multiplet
 _EXTRA = 4
+# boundary coefficient assumed where a theory's is infinite (CFLV, traction
+# free, alpha = 1): there the discrete count depends on the mesh, and 12- to
+# 48-ring disks at cutoffs 30-100 show an effective b of 0.6-1.1
+_SINGULAR_B = 1.0
 # neighbours closer than this (relative) are copies of one multiplet
 _GAP_REL = 1e-6
 # values below this share of the largest one are numerically zero (rigid modes)
@@ -71,22 +84,6 @@ class _BlockResult:
     residuals: np.ndarray
     tau: float  # inertia-certified bound: the block has no other value below it
     method: str
-
-
-def _dense_block(ops, blk, count, lambda_max) -> _BlockResult:
-    import scipy.linalg as sla
-
-    A = blk.stiffness.toarray()
-    M = blk.mass.toarray()
-    if count is not None:
-        vals, vecs = sla.eigh(A, M, subset_by_index=[0, min(count, blk.n) - 1])
-    else:
-        # subset_by_value is the half-open interval (lo, hi]
-        vals, vecs = sla.eigh(A, M, subset_by_value=[-np.inf, lambda_max])
-        keep = vals < lambda_max
-        vals, vecs = vals[keep], vecs[:, keep]
-    res = _residuals(ops, blk, vals, vecs)
-    return _BlockResult(vals, res, np.inf, "dense")
 
 
 def _residuals(ops, blk, vals, vecs):
@@ -117,32 +114,39 @@ def _factor(A, M, shift: float):
     )
 
 
-def _gaps_above(vals: np.ndarray, last: int):
-    """(tau, number of values below tau) for each genuine gap at or above
-    ``vals[last]``, ascending, tau being the gap's midpoint.
+def _cut(vals: np.ndarray, cap: float):
+    """(tau, number of values below tau): tau is the midpoint of the lowest
+    genuine gap above ``cap``, otherwise of the highest genuine gap, and
+    (-inf, 0) if the ascending ``vals`` show none.
 
     Gaps inside a multiplet or inside the numerically zero rigid-mode cluster
     are not genuine: an inertia count there would hinge on rounding.
     """
     zero = np.abs(vals) <= _ZERO_REL * np.abs(vals).max()
-    return [
+    gaps = [
         (0.5 * (vals[i] + vals[i + 1]), i + 1)
-        for i in range(last, len(vals) - 1)
+        for i in range(len(vals) - 1)
         if vals[i + 1] - vals[i] > _GAP_REL * abs(vals[i + 1]) and not (zero[i] and zero[i + 1])
     ]
+    return next((g for g in gaps if g[0] > cap), gaps[-1] if gaps else (-np.inf, 0))
 
 
-def _lanczos_block(ops, blk, sigma: float, k: int, count, lambda_max) -> _BlockResult:
-    """ARPACK shift-invert on one block, certified by residuals and inertia.
+def _dense_block(ops, blk, k: int, cap: float) -> _BlockResult:
+    """LAPACK's lowest k values of a block, cut by ``_cut``; with all n of
+    them nothing is left above, so tau is infinite."""
+    import scipy.linalg as sla
 
-    Returns every value below the certified gap tau: the highest gap the
-    computed values show at or above the ``count``-th value, or the first
-    one at the cutoff.
-    """
+    vals, vecs = sla.eigh(blk.stiffness.toarray(), blk.mass.toarray(), subset_by_index=[0, k - 1])
+    tau, below = (np.inf, k) if k == blk.n else _cut(vals, cap)
+    return _BlockResult(vals[:below], _residuals(ops, blk, vals[:below], vecs[:, :below]), tau, "dense")
+
+
+def _lanczos_block(ops, blk, sigma: float, k: int, cap: float) -> _BlockResult:
+    """ARPACK's lowest k values of a block, cut by ``_cut`` and certified by
+    residuals and inertia; a failed attempt retries with the next seed."""
     import scipy.sparse.linalg as spla
 
     A, M, n = blk.stiffness, blk.mass, blk.n
-    k_cap = n - 2  # eigsh needs k < n - 1 on a sparse matrix
     op_inv = None
     last_err = None
     for seed in _SEEDS:
@@ -155,27 +159,15 @@ def _lanczos_block(ops, blk, sigma: float, k: int, count, lambda_max) -> _BlockR
             del lu
         v0 = np.random.default_rng(seed).standard_normal(n).astype(A.dtype)
         try:
-            while True:
-                k = min(k, k_cap)
-                vals, vecs = spla.eigsh(A, k, M=M, sigma=sigma, OPinv=op_inv, v0=v0)
-                order = np.argsort(vals)
-                vals, vecs = vals[order], vecs[:, order]
-                take = count if count is not None else int(np.sum(vals < lambda_max))
-                gaps = _gaps_above(vals, max(take - 1, 0))
-                # a count is certified as far as the values go, which spares
-                # the union of the blocks growing this one; a cutoff no further
-                gap = (gaps[-1] if count is not None else gaps[0]) if gaps else None
-                reached = count is not None or vals[-1] >= lambda_max
-                if (reached and gap is not None) or k == k_cap:
-                    break
-                k = int(1.6 * k)
+            vals, vecs = spla.eigsh(A, k, M=M, sigma=sigma, OPinv=op_inv, v0=v0)
         except spla.ArpackError as exc:  # includes ArpackNoConvergence
             last_err = exc
             continue
-        if gap is None or not reached:
-            last_err = f"{k} values reach {vals[-1]:.6g} without a certifiable gap"
-            continue
-        tau, below = gap
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        tau, below = _cut(vals, cap)
+        if below == 0:  # no gap, nothing certified: the caller asks for more
+            return _BlockResult(vals[:0], vals[:0], tau, "lanczos")
         res = _residuals(ops, blk, vals[:below], vecs[:, :below])
         if not np.all(res <= _RESID_TOL):
             last_err = f"residual {res.max():.2e} above {_RESID_TOL:g} (seed {seed})"
@@ -200,71 +192,77 @@ def _union(blocks, parts):
     return vals[order], res[order]
 
 
-def solve_eigs(
-    ops: Operators,
-    count: int | None = None,
-    lambda_max: float | None = None,
-) -> EigResult:
+def weyl_count_estimate(params: LameParams, domain: DomainGeometry, lambda_max: float,
+                        bc: BoundaryCondition) -> float:
+    """Two-term estimate of N(lambda_max), used to size eigensolves.
+
+    The leading term is common to both theories.  The boundary term takes
+    the largest b of the theories, so that the estimate presupposes neither,
+    and ``_SINGULAR_B`` for a theory whose b is infinite.
+    """
+    bs = []
+    for theory in Theory:
+        try:
+            bs.append(boundary_coefficient(params, 2, bc, theory))
+        except SingularLimitError:
+            bs.append(_SINGULAR_B)
+    lead = weyl_a(params, 2) * domain.volume * lambda_max
+    est = lead + max(bs) * domain.boundary_length * np.sqrt(lambda_max)
+    return max(est, 0.5 * lead)
+
+
+def solve_eigs(ops: Operators, count: int | None = None, lambda_max: float | None = None) -> EigResult:
     """Eigenvalues of A x = lambda M x with residual and inertia certificates.
 
     Either the lowest ``count`` eigenvalues, or (with ``lambda_max``) every
-    eigenvalue below the cutoff.  The problem is split into the symmetry
-    blocks of the mesh's rotation group, each solved on its own: dense
-    (LAPACK) up to ``_DENSE_LIMIT`` unknowns; otherwise ARPACK in
-    shift-invert mode on one sparse factorization, which is reused across
-    seeds and across growth of the requested number (only a failed inertia
-    certificate, which frees it, makes a retry factor again).  In cutoff
-    mode a block's number starts from its share n_m/n of the two-term Weyl
-    estimate and grows by 1.6x until the largest returned value reaches the
-    cutoff.  In count mode a block starts from its share of ``count``; the
-    lowest ``count`` values of the union stand once every block's certified
-    gap lies above the ``count``-th of them, and until then the block with
-    the lowest gap grows by 1.6x.  A failed iteration or certificate
-    triggers a retry with the next deterministic seed.
+    eigenvalue below the cutoff.  Each symmetry block first asks for
+    ``_EXTRA`` values beyond its share: n_m/n of the two-term Weyl estimate
+    (plus the rigid motions, traction free) in cutoff mode, of ``count`` in
+    count mode (a dense block enough to supply all ``count`` alone).  Blocks
+    are cut and grown by the one rule of the module docstring; the shift
+    factor of an ARPACK block is reused across its seeds.  A block that
+    cannot grow, or that no seed certifies, raises SolverError.
     """
     if count is None and lambda_max is None:
         raise ParameterDomainError("need count or lambda_max")
     # shift just below the spectrum: the wanted eigenvalues must remain the
     # extreme end of 1/(lambda - sigma), and A - sigma M positive definite
     sigma = 0.0 if ops.bc is BoundaryCondition.DIRICHLET else -0.2 * ops.params.mu
-    if count is None:
-        from . import weyl_count_estimate  # the package imports this module
-
-        estimate = weyl_count_estimate(ops.params, ops.mesh.domain, lambda_max, ops.bc)
-
-    def solve(blk, want):
-        if blk.n <= _DENSE_LIMIT:
-            return _dense_block(ops, blk, want, lambda_max)
-        if count is not None:
-            k = want + _EXTRA
-        else:
-            k = int(1.05 * estimate * (blk.n / ops.n)) + _EXTRA
-            if ops.bc is BoundaryCondition.FREE:
-                k += 3  # rigid motions
-        return _lanczos_block(ops, blk, sigma, k, want, lambda_max)
-
     blocks = symmetry_blocks(ops)
     if count is None:
-        parts = [solve(blk, None) for blk in blocks]
-        vals, res = _union(blocks, parts)
-        keep = vals < lambda_max
-        vals, res = vals[keep], res[keep]
+        estimate = weyl_count_estimate(ops.params, ops.mesh.domain, lambda_max, ops.bc)
+        rigid = 3 if ops.bc is BoundaryCondition.FREE else 0
+        wants = [int(1.05 * estimate * (blk.n / ops.n)) + rigid for blk in blocks]
+        cap = lambda_max
     else:
-        # a dense block is asked for enough values to supply all ``count`` alone
         wants = [
             -(-count // blk.weight) if blk.n <= _DENSE_LIMIT else -(-count * blk.n // ops.n)
             for blk in blocks
         ]
-        parts = [solve(blk, want) for blk, want in zip(blocks, wants)]
-        while True:
-            vals, res = _union(blocks, parts)
-            target = vals[count - 1] if vals.size >= count else np.inf
-            short = [i for i, p in enumerate(parts) if p.tau <= target]
-            if not short:
-                break
-            i = min(short, key=lambda i: parts[i].tau)
-            wants[i] = max(int(1.6 * wants[i]), wants[i] + 1)
-            parts[i] = solve(blocks[i], wants[i])
-        vals, res = vals[:count], res[:count]
+        cap = np.inf
+
+    def size(i):  # eigsh needs k < n - 1 on a sparse matrix
+        n = blocks[i].n
+        return min(wants[i] + _EXTRA, n if n <= _DENSE_LIMIT else n - 2)
+
+    def solve(i):
+        if blocks[i].n <= _DENSE_LIMIT:
+            return _dense_block(ops, blocks[i], size(i), cap)
+        return _lanczos_block(ops, blocks[i], sigma, size(i), cap)
+
+    parts = [solve(i) for i in range(len(blocks))]
+    while True:
+        vals, res = _union(blocks, parts)
+        target = lambda_max if count is None else vals[count - 1] if vals.size >= count else np.inf
+        i = min(range(len(parts)), key=lambda i: parts[i].tau)
+        if parts[i].tau > target:
+            break
+        k = size(i)
+        wants[i] = max(int(1.6 * wants[i]), wants[i] + 1)
+        if size(i) == k:
+            raise SolverError(f"block m = {blocks[i].m} cannot grow past {k} values, certified "
+                              f"only below {parts[i].tau:.6g} (target {target:.6g})")
+        parts[i] = solve(i)
+    keep = vals < lambda_max if count is None else slice(count)
     method = "lanczos" if any(p.method == "lanczos" for p in parts) else "dense"
-    return EigResult(vals, res, method, tuple(blk.n for blk in blocks))
+    return EigResult(vals[keep], res[keep], method, tuple(blk.n for blk in blocks))

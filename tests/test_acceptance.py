@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from elastica.adjudicate import compare_spectra
-from elastica.asympt import counting, fit_two_term, prop71_empirical, remainder_series
+from elastica.asympt import fit_two_term, prop71_empirical, remainder_series
 from elastica.coeffs import (
     Theory,
     b_cflv,
@@ -204,7 +204,7 @@ def test_criterion_10_counting_remainder_square():
     t0 = time.perf_counter()
     sp = square_dirichlet_spectrum(1.0, 1.05e4)
     grid = np.linspace(5e3, 1e4, 64)
-    rem = remainder_series(counting(sp, grid), a_coeff=1.0 / (2.0 * math.pi), geometry=UNIT_SQUARE)
+    rem = remainder_series(sp, grid, a_coeff=1.0 / (2.0 * math.pi))
     b_target = b_liu(PDEC, 2, BC.DIRICHLET)
     mean_dev = abs(float(np.mean(rem.cesaro)) - b_target) / abs(b_target)
     ok = mean_dev <= 0.1

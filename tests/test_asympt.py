@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from elastica.asympt import (
-    CountingSeries,
     counting,
     default_heat_window,
     fit_heat_samples,
@@ -55,8 +54,7 @@ def _two_term_spectrum(av, bl, lambda_max, bc=BC.DIRICHLET):
 
 def test_counting_empty_and_strict():
     sp = _spectrum_from_values([1.0, 1.0, 2.0], lambda_max=4.0)
-    cs = counting(sp, [0.5, 1.5, 2.0, 3.0])
-    assert list(cs.values) == [0, 2, 2, 3]
+    assert list(counting(sp, [0.5, 1.5, 2.0, 3.0])) == [0, 2, 2, 3]
 
 
 def test_counting_range_error():
@@ -65,29 +63,39 @@ def test_counting_range_error():
         counting(sp, [3.0])
 
 
+@pytest.mark.parametrize("grid, match", [([1.5, 3.0], "cutoff"), ([0.0, 1.5], "positive")])
+def test_remainder_validates_its_grid(grid, match):
+    sp = _spectrum_from_values([1.0], lambda_max=2.0)
+    with pytest.raises(ParameterDomainError, match=match):
+        remainder_series(sp, grid, 1.0)
+
+
 def test_counting_leading_order_square():
     # N/lambda -> a*Vol; the boundary term decays like 1/sqrt(lambda), and at
     # lambda = 1e4 it still contributes 4% (the lattice count says so), so the
     # 2% agreement is checked where it genuinely holds
     a = weyl_a(PDEC, 2)
     sp4 = square_dirichlet_spectrum(1.0, 1.05e4)
-    n4 = counting(sp4, [1e4]).values[0]
+    n4 = counting(sp4, [1e4])[0]
     assert abs(n4 / 1e4 - a * UNIT_SQUARE.volume) < 0.05 * a
     sp5 = square_dirichlet_spectrum(1.0, 1.05e5)
-    n5 = counting(sp5, [1e5]).values[0]
+    n5 = counting(sp5, [1e5])[0]
     assert abs(n5 / 1e5 - a * UNIT_SQUARE.volume) < 0.02 * a
     # and the deviation shrinks like the boundary term predicts
     assert abs(n5 / 1e5 - a) < abs(n4 / 1e4 - a)
 
 
 def test_remainder_exact_two_term_is_constant():
-    # N(L) = av*L + bl*sqrt(L) given directly as series values
+    # eigenvalues at N^{-1}(j - 1/2) for N(L) = av*L + b*Vol_1*sqrt(L): at
+    # L = N^{-1}(j) exactly j of them lie below, so the remainder there is b
     av = 1.0 / (2.0 * math.pi)
     b = -1.0 / (2.0 * math.pi)
-    grid = np.linspace(100.0, 5000.0, 40)
-    fake = _spectrum_from_values([1.0], lambda_max=6000.0)
-    series = CountingSeries(source=fake, grid=grid, values=av * grid + b * 4.0 * np.sqrt(grid))
-    rem = remainder_series(series, a_coeff=av, geometry=UNIT_SQUARE)
+    bl = b * UNIT_SQUARE.boundary_length
+    sp = _two_term_spectrum(av, bl, 6000.0)
+    j = np.arange(10, 750, 19)
+    grid = ((-bl + np.sqrt(bl * bl + 4.0 * av * j)) / (2.0 * av)) ** 2
+    assert np.array_equal(counting(sp, grid), j)
+    rem = remainder_series(sp, grid, a_coeff=av)
     assert np.allclose(rem.raw, b, rtol=0, atol=1e-14)
 
 
@@ -96,7 +104,7 @@ def test_remainder_synthetic_spectrum_cesaro():
     bl = -0.6
     sp = _two_term_spectrum(av, bl, 2e4)
     grid = np.linspace(5e3, 1.9e4, 32)
-    rem = remainder_series(counting(sp, grid), a_coeff=av / UNIT_SQUARE.volume, geometry=UNIT_SQUARE)
+    rem = remainder_series(sp, grid, a_coeff=av / UNIT_SQUARE.volume)
     target = bl / UNIT_SQUARE.boundary_length
     assert abs(np.mean(rem.cesaro) - target) < 0.02 * abs(target)
     # smoothing suppresses the sawtooth of raw R
@@ -106,7 +114,7 @@ def test_remainder_synthetic_spectrum_cesaro():
 def test_remainder_square_window():
     sp = square_dirichlet_spectrum(1.0, 1.05e4)
     grid = np.linspace(5e2, 1e4, 64)
-    rem = remainder_series(counting(sp, grid), weyl_a(PDEC, 2), UNIT_SQUARE)
+    rem = remainder_series(sp, grid, weyl_a(PDEC, 2))
     b = -1.0 / (2.0 * math.pi)
     assert abs(rem.cesaro[-1] - b) < 0.1 * abs(b)
 
@@ -166,7 +174,7 @@ def test_cesaro_closed_form_matches_piecewise_integral(make):
     ]))
     assert grid[-1] > evs[-1] and np.isin(evs, grid).sum() > 10
     a_coeff = weyl_a(sp.params, 2)
-    rem = remainder_series(counting(sp, grid), a_coeff, sp.domain)
+    rem = remainder_series(sp, grid, a_coeff)
     want = _cesaro_integral_piecewise(sp, a_coeff, sp.domain, grid) / grid
     np.testing.assert_allclose(rem.cesaro, want, rtol=1e-12, atol=0)
 

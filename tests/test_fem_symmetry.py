@@ -132,15 +132,61 @@ def test_count_mode_grows_the_block_with_the_lowest_gap(monkeypatch):
     solved = []
     real_block = eigs_mod._lanczos_block
 
-    def block(ops, blk, sigma, k, count, lambda_max):
+    def block(ops, blk, sigma, k, cap):
         solved.append(blk.m)
-        return real_block(ops, blk, sigma, k, count, lambda_max)
+        return real_block(ops, blk, sigma, k, cap)
 
     monkeypatch.setattr(eigs_mod, "_EXTRA", 1)
     monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
     r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), count=4)
     assert solved == [0, 1, 2, 3, 1]
     _assert_same_spectrum(r.values, want)
+
+
+def test_cutoff_mode_growth_goes_through_the_shared_loop(monkeypatch):
+    # with 0.9 of the Weyl estimate and one spare value per block, block m = 1
+    # is certified only below the cutoff and is solved again for more values
+    mesh = unit_disk_mesh(24)
+    want = solve_eigs(assemble(_whole(mesh), P11, BC.DIRICHLET), lambda_max=100.0).values
+    solved = []
+    real_block, real_estimate = eigs_mod._lanczos_block, eigs_mod.weyl_count_estimate
+
+    def block(ops, blk, sigma, k, cap):
+        solved.append(blk.m)
+        return real_block(ops, blk, sigma, k, cap)
+
+    monkeypatch.setattr(eigs_mod, "_EXTRA", 1)
+    monkeypatch.setattr(eigs_mod, "weyl_count_estimate", lambda *args: 0.9 * real_estimate(*args))
+    monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
+    r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), lambda_max=100.0)
+    assert solved == [0, 1, 2, 3, 1]
+    _assert_same_spectrum(r.values, want)
+
+
+def test_a_block_that_cannot_grow_raises():
+    # more values than unknowns: every dense block is complete and still short
+    ops = assemble(unit_disk_mesh(3), P11, BC.DIRICHLET)
+    with pytest.raises(SolverError, match="cannot grow"):
+        solve_eigs(ops, count=ops.n + 1)
+
+
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+def test_cutoff_mode_certifies_every_block_through_the_cutoff(monkeypatch, bc):
+    # every inertia shift lies above the cutoff, so no block can hide a value
+    # between its certified bound and the cutoff
+    ops = assemble(unit_disk_mesh(24), P11, bc)
+    sigma = 0.0 if bc is BC.DIRICHLET else -0.2 * P11.mu
+    shifts = []
+    real_factor = eigs_mod._factor
+
+    def factor(A, M, shift):
+        shifts.append(shift)
+        return real_factor(A, M, shift)
+
+    monkeypatch.setattr(eigs_mod, "_factor", factor)
+    solve_eigs(ops, lambda_max=100.0)
+    inertia = [s for s in shifts if s != sigma]
+    assert len(inertia) >= len(symmetry_blocks(ops)) and min(inertia) > 100.0
 
 
 @pytest.mark.parametrize("drops", [1, None])
