@@ -8,7 +8,7 @@ extension, and ``COMPILED`` is always False.
 """
 
 from .bessel import bessel_j, bessel_j_prime, bessel_j_sequence, bessel_zeros
-from .contour import ContourResult, ContourSpec, contour_integral, enclosing_contour
+from .contour import ContourResult, ContourSpec, contour_integral
 from .gammafn import gamma_fn
 from .quadrature import IntegrationResult, QuadratureSpec, integrate
 from .roots import find_root
@@ -29,5 +29,4 @@ __all__ = [
     "contour_integral",
     "ContourResult",
     "ContourSpec",
-    "enclosing_contour",
 ]

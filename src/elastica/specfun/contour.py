@@ -68,13 +68,3 @@ def contour_integral(g, spec: ContourSpec, rel_tol: float = 1e-10, max_doublings
         if err <= rel_tol:
             return ContourResult(value, True, err, n)
     return ContourResult(value, False, err, n)
-
-
-def enclosing_contour(pole_lo: float, pole_hi: float, panels: int = 32) -> ContourSpec:
-    """Circle guaranteed to enclose both real poles.
-
-    Center at the midpoint, radius 1.5x the half-spread plus 1.
-    """
-    center = 0.5 * (pole_lo + pole_hi)
-    radius = 1.5 * abs(pole_hi - pole_lo) / 2.0 + 1.0
-    return ContourSpec(center=center, radius=radius, panels=panels)

@@ -208,7 +208,6 @@ def test_verify_all_pass(tmp_path, capsys):
 
 @pytest.mark.parametrize("mu,lam,dim", [("1", "1", "2"), ("0.5", "10", "3")])
 def test_verify_all_equals_each_suite_alone(tmp_path, monkeypatch, capsys, mu, lam, dim):
-    # (0.5, 10) fails its t = 1, |xi|^2 = 10 contour, so a FAIL verdict is compared too
     import elastica.cli as cli
 
     calls = {}
@@ -235,6 +234,14 @@ def test_verify_all_equals_each_suite_alone(tmp_path, monkeypatch, capsys, mu, l
     assert every == alone
     assert rc_all == max(rcs)
     capsys.readouterr()
+
+
+def test_verify_residue_far_apart_poles(capsys):
+    # the poles 5 and 110 at t = 1, |xi|^2 = 10 once shared a circle that
+    # reached far left of 0, and the suite failed
+    rc = run(["verify", "--suite", "residue", "--mu", "0.5", "--lambda", "10"])
+    assert rc == 0
+    assert "residue: PASS" in capsys.readouterr().out
 
 
 def test_verify_residue_dim3(capsys):

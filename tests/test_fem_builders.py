@@ -1,9 +1,12 @@
 """Vectorised mesh and element builders against their loop formulations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import scipy.sparse as sp
 
 from elastica.fem import assemble, unit_disk_mesh, unit_square_mesh
 from elastica.fem.mesh import _orient_ccw
@@ -116,11 +119,65 @@ def _einsum_operators(mesh, params, bc):
     return K[np.ix_(free, free)], M[np.ix_(free, free)]
 
 
-@pytest.mark.parametrize("mesh", [unit_disk_mesh(9), unit_square_mesh(10)], ids=["disk", "square"])
+MESHES = [unit_disk_mesh(9), unit_square_mesh(10)]
+
+
+@pytest.mark.parametrize("mesh", MESHES, ids=["disk", "square"])
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
 def test_assembly_equals_einsum_formulas(mesh, bc):
-    params = LameParams(1.3, 0.7)
-    ops = assemble(mesh, params, bc)
-    K, M = _einsum_operators(mesh, params, bc)
-    for got, want in ((ops.stiffness.toarray(), K), (ops.mass.toarray(), M)):
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # lambda/mu from the incompressible side to lambda = -mu
+    for lam in (0.7, 130.0, 0.0, -1.3):
+        params = LameParams(1.3, lam)
+        ops = assemble(mesh, params, bc)
+        K, M = _einsum_operators(mesh, params, bc)
+        for got, want in ((ops.stiffness.toarray(), K), (ops.mass.toarray(), M)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), lam
+
+
+def _coo_pattern(mesh, bc):
+    """CSR pattern and free dofs of the element-by-element COO assembly with
+    the Dirichlet rows and columns sliced out afterwards."""
+    nt = mesh.n_triangles
+    dofs = np.empty((nt, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    ndof = 2 * mesh.n_vertices
+    rows, cols = np.repeat(dofs, 6, axis=1).ravel(), np.tile(dofs, (1, 6)).ravel()
+    full = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    free = np.arange(ndof) if bc is BC.FREE else np.flatnonzero(np.repeat(~mesh.boundary, 2))
+    return full[free][:, free].tocsr(), free
+
+
+@pytest.mark.parametrize("mesh", MESHES, ids=["disk", "square"])
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+def test_operators_are_canonical_csr_on_the_coo_pattern(mesh, bc):
+    ops = assemble(mesh, LameParams(1.3, 0.7), bc)
+    want, free = _coo_pattern(mesh, bc)
+    assert np.array_equal(ops.free_dofs, free)
+    for a in (ops.stiffness, ops.mass):
+        assert isinstance(a, sp.csr_matrix) and a.shape == want.shape
+        assert np.array_equal(a.indptr, want.indptr) and np.array_equal(a.indices, want.indices)
+        # columns strictly ascending within every row: sorted, no duplicates
+        step = np.diff(a.indices)
+        row_start = np.zeros(a.nnz, dtype=bool)
+        row_start[a.indptr[1:-1]] = True
+        assert np.all((step > 0) | row_start[1:])
+    # the mass keeps its x-y entries as stored zeros
+    row = np.repeat(np.arange(ops.n), np.diff(ops.mass.indptr))
+    assert np.all(ops.mass.data[ops.mass.indices % 2 != row % 2] == 0)
+
+
+@pytest.mark.parametrize("n_rings,bc", [(48, BC.DIRICHLET), (51, BC.FREE)])
+def test_assembly_memory_peak_is_bounded_by_its_output(n_rings, bc):
+    # traced numpy allocations, so the bound does not depend on the allocator
+    mesh = unit_disk_mesh(n_rings)
+    params = LameParams(1.0, 1.0)
+    assemble(mesh, params, bc)
+    tracemalloc.start()
+    try:
+        ops = assemble(mesh, params, bc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(arr.nbytes for a in (ops.stiffness, ops.mass) for arr in (a.data, a.indices, a.indptr))
+    assert peak <= 4 * out

@@ -256,3 +256,30 @@ def test_fem_spectrum_records_its_reduction(tmp_path):
     sq, _ = fem_extrapolated_spectrum(UNIT_SQUARE, PDEC, BC.DIRICHLET, [4, 8, 16], 60.0)
     assert sq.meta["symmetry"] == "C2"
     assert sq.meta["blocks"] == "8/10,48/50,224/226"
+
+
+def test_residual_gate_does_not_depend_on_units():
+    # mu = lambda = 1e3 scales A by 1e3 and leaves M alone; the old gate on
+    # ||A x - lam M x|| / ||M x|| refused this solve on every seed
+    mesh = unit_disk_mesh(24)
+    unit = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), count=41)
+    big = solve_eigs(assemble(mesh, LameParams(1e3, 1e3), BC.DIRICHLET), count=41)
+    assert big.method == "lanczos" and len(big.values) == 41
+    np.testing.assert_allclose(big.values, 1e3 * unit.values, rtol=1e-10)
+    assert big.residuals.max() <= eigs_mod._RESID_TOL
+
+
+def test_residual_gate_rejects_a_perturbed_vector(monkeypatch):
+    # every ARPACK answer has its lowest vector replaced by itself plus 1e-4
+    # of the vector of its highest value
+    ops = assemble(unit_disk_mesh(24), P11, BC.DIRICHLET)
+    real_eigsh = spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        vecs[:, np.argmin(vals)] += 1e-4 * vecs[:, np.argmax(vals)]
+        return vals, vecs
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    with pytest.raises(SolverError, match=rf"residual \S+ above {eigs_mod._RESID_TOL:g} \(seed 4\)"):
+        solve_eigs(ops, count=10)

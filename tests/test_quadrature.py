@@ -11,7 +11,6 @@ from elastica.specfun import (
     QuadratureSpec,
     bessel_j,
     contour_integral,
-    enclosing_contour,
     find_root,
     integrate,
 )
@@ -206,7 +205,7 @@ def test_contour_rational_residue_sum():
     # 1/((tau-1)(tau-3)) has residues 1/(1-3) and 1/(3-1) -> enclosing both gives 0,
     # enclosing only tau=1 gives -1/2
     g = lambda tau: 1.0 / ((tau - 1.0) * (tau - 3.0))
-    both = contour_integral(g, enclosing_contour(1.0, 3.0))
+    both = contour_integral(g, ContourSpec(center=2.0, radius=4.0))
     assert abs(both.value - 0.0) < 1e-10
     one = contour_integral(g, ContourSpec(center=1.0, radius=0.5))
     assert abs(one.value + 0.5) < 1e-10
@@ -217,10 +216,3 @@ def test_contour_nonconvergence_flagged():
     g = lambda tau: 1.0 / (tau - 1.999999)
     r = contour_integral(g, ContourSpec(center=1.0, radius=1.0, panels=8), max_doublings=2)
     assert not r.converged
-
-
-def test_enclosing_contour_geometry():
-    spec = enclosing_contour(2.0, 10.0)
-    assert spec.center == 6.0
-    assert spec.radius == 1.5 * 4.0 + 1.0
-    assert spec.radius > abs(10.0 - spec.center)

@@ -78,6 +78,17 @@ def test_residue_grid():
             assert rep.passed, (t, xi2, rep.rel_gap)
 
 
+@pytest.mark.parametrize("mu,lam", [(1, 1), (1, 0), (1, -0.5), (2, 5), (0.5, 10), (1, 3), (0.7, 0.2)])
+def test_residue_circles_converge_across_parameters(mu, lam):
+    # one circle per pole: at (0.5, 10), t = 1, |xi|^2 = 10 a circle around
+    # both poles reached tau = -22.25, where e^{-t tau} ~ 5e9, and never converged
+    for t in (0.1, 1.0, 10.0):
+        for xi2 in (0.1, 1.0, 10.0):
+            for n in (2, 3):
+                rep = residue_heat(t, xi2, LameParams(mu, lam), n)
+                assert rep.detail["contour_converged"] and rep.rel_gap <= 1e-12, (t, xi2, n, rep.rel_gap)
+
+
 def test_residue_decoupled_single_pole():
     # lambda = -mu: the trace has one pole of order 1 with coefficient n
     for t, xi2 in [(0.1, 2.0), (0.5, 7.0)]:
