@@ -44,6 +44,15 @@ every block is certified through the cutoff; in count mode it is infinite.
 While some block's tau does not exceed the target (the cutoff, or the
 ``count``-th value of the union of the blocks), the block with the lowest
 tau is solved again, on a new factor, for 1.6x as many values.
+
+At most one SuperLU factor is alive at a time: a block's shift factor is
+freed before its inertia factor is made, and on every way out of the block
+solve.  The factor is therefore held apart from the ``LinearOperator``
+handed to ARPACK, which reaches it only through a list the block empties.
+Dropping the operator is not enough: on a complex block ``eigsh`` calls
+``eigs``, whose ``_UnsymmetricArpackParams`` holds a lambda that refers
+back to it, and that reference cycle keeps the operator (and with it the
+factor) alive until the cyclic garbage collector happens to run.
 """
 
 from __future__ import annotations
@@ -147,61 +156,74 @@ def _cut(vals: np.ndarray, cap: float):
     return next((g for g in gaps if g[0] > cap), gaps[-1] if gaps else (-np.inf, 0))
 
 
-def _dense_block(ops, blk, k: int, cap: float) -> _BlockResult:
+def _dense_block(ops, norms, blk, k: int, cap: float) -> _BlockResult:
     """LAPACK's lowest k values of a block, cut by ``_cut``; with all n of
     them nothing is left above, so tau is infinite."""
     import scipy.linalg as sla
 
     vals, vecs = sla.eigh(blk.stiffness.toarray(), blk.mass.toarray(), subset_by_index=[0, k - 1])
     tau, below = (np.inf, k) if k == blk.n else _cut(vals, cap)
-    res = _residuals(ops, _norms(ops), blk, vals[:below], vecs[:, :below])
+    res = _residuals(ops, norms, blk, vals[:below], vecs[:, :below])
     return _BlockResult(vals[:below], res, tau, "dense")
 
 
-def _lanczos_block(ops, blk, sigma: float, k: int, cap: float) -> _BlockResult:
+def _lanczos_block(ops, norms, blk, sigma: float, k: int, cap: float) -> _BlockResult:
     """ARPACK's lowest k values of a block, cut by ``_cut`` and certified by
     residuals and inertia; a failed attempt retries with the next seed."""
     import scipy.sparse.linalg as spla
 
     A, M, n = blk.stiffness, blk.mass, blk.n
-    # abs copies of A and M are made here, before any factor exists, so that
-    # they never add to a factor's memory peak
-    norms = _norms(ops)
-    op_inv = None
+    # the shift factor, held apart from the operator ARPACK keeps (see the
+    # module docstring); empty while no shift factor is live
+    held = []
+    op_inv = spla.LinearOperator((n, n), matvec=lambda b: held[0].solve(b), dtype=A.dtype)
     last_err = None
-    for seed in _SEEDS:
-        if op_inv is None:
+    try:
+        for seed in _SEEDS:
+            if not held:
+                try:
+                    held.append(_factor(A, M, sigma))
+                except RuntimeError as exc:  # SuperLU reports a singular factor this way
+                    raise SolverError(f"factorization of A - {sigma:g} M failed: {exc}") from exc
+            v0 = np.random.default_rng(seed).standard_normal(n).astype(A.dtype)
             try:
-                lu = _factor(A, M, sigma)
-            except RuntimeError as exc:  # SuperLU reports a singular factor this way
-                raise SolverError(f"factorization of A - {sigma:g} M failed: {exc}") from exc
-            op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=A.dtype)
-            del lu
-        v0 = np.random.default_rng(seed).standard_normal(n).astype(A.dtype)
-        try:
-            vals, vecs = spla.eigsh(A, k, M=M, sigma=sigma, OPinv=op_inv, v0=v0)
-        except spla.ArpackError as exc:  # includes ArpackNoConvergence
-            last_err = exc
-            continue
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        tau, below = _cut(vals, cap)
-        if below == 0:  # no gap, nothing certified: the caller asks for more
-            return _BlockResult(vals[:0], vals[:0], tau, "lanczos")
-        res = _residuals(ops, norms, blk, vals[:below], vecs[:, :below])
-        if not np.all(res <= _RESID_TOL):
-            last_err = f"residual {res.max():.2e} above {_RESID_TOL:g} (seed {seed})"
-            continue
-        # the shift factor and the basis go before the inertia factor is made,
-        # so the two factors never coexist; a retry factors the shift again
-        op_inv = vecs = None
-        # Sylvester: U's diagonal is the D of A - tau M = L D L^H (real up to rounding)
-        negative = int(np.sum(_factor(A, M, tau).U.diagonal().real < 0))
-        if negative != below:
-            last_err = f"{below} values below {tau:.6g} but inertia counts {negative} (seed {seed})"
-            continue
-        return _BlockResult(vals[:below], res, tau, "lanczos")
-    raise SolverError(f"ARPACK failed to certify the requested set (last error: {last_err})")
+                vals, vecs = spla.eigsh(A, k, M=M, sigma=sigma, OPinv=op_inv, v0=v0)
+            except spla.ArpackError as exc:  # includes ArpackNoConvergence
+                last_err = exc
+                continue
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+            tau, below = _cut(vals, cap)
+            if below == 0:  # no gap, nothing certified: the caller asks for more
+                return _BlockResult(vals[:0], vals[:0], tau, "lanczos")
+            res = _residuals(ops, norms, blk, vals[:below], vecs[:, :below])
+            if not np.all(res <= _RESID_TOL):
+                last_err = f"residual {res.max():.2e} above {_RESID_TOL:g} (seed {seed})"
+                continue
+            # the shift factor and the basis go before the inertia factor is
+            # made, so the two factors never coexist; a retry factors the shift
+            # again.  Emptying held frees the factor even where op_inv lives on
+            # in the cycle that eigsh -> eigs -> _UnsymmetricArpackParams
+            # leaves on a complex block
+            held.clear()
+            vecs = None
+            # Sylvester: U's diagonal is the D of A - tau M = L D L^H (real up to rounding)
+            negative = int(np.sum(_factor(A, M, tau).U.diagonal().real < 0))
+            if negative != below:
+                last_err = f"{below} values below {tau:.6g} but inertia counts {negative} (seed {seed})"
+                continue
+            return _BlockResult(vals[:below], res, tau, "lanczos")
+        raise SolverError(f"ARPACK failed to certify the requested set (last error: {last_err})")
+    finally:
+        held.clear()
+
+
+def _rigid_modes(blk, order: int) -> int:
+    """Rigid motions among block m's zero eigenvalues (traction free): the
+    rotation in m = 0 and the translations in m = 1 and N - 1 (mod N), one
+    each for N >= 3, both in the real block m = 1 for N = 2, and all three
+    in the one block m = 0 for N = 1."""
+    return int(blk.m == 0) + (2 // blk.weight if blk.m == 1 % order else 0)
 
 
 def _union(blocks, parts):
@@ -237,22 +259,31 @@ def solve_eigs(ops: Operators, count: int | None = None, lambda_max: float | Non
     Either the lowest ``count`` eigenvalues, or (with ``lambda_max``) every
     eigenvalue below the cutoff.  Each symmetry block first asks for
     ``_EXTRA`` values beyond its share: n_m/n of the two-term Weyl estimate
-    (plus the rigid motions, traction free) in cutoff mode, of ``count`` in
-    count mode (a dense block enough to supply all ``count`` alone).  Blocks
-    are cut and grown by the one rule of the module docstring; the shift
-    factor of an ARPACK block is reused across its seeds.  A block that
-    cannot grow, or that no seed certifies, raises SolverError.
+    (plus the rigid motions the block holds, traction free) in cutoff mode,
+    of ``count`` in count mode (a dense block enough to supply all ``count``
+    alone).  Blocks are cut and grown by the one rule of the module
+    docstring; the shift factor of an ARPACK block is reused across its
+    seeds and freed when the block is done, so that at most one SuperLU
+    factor is alive at a time.  A block that cannot grow, or that no seed
+    certifies, raises SolverError.
     """
     if count is None and lambda_max is None:
         raise ParameterDomainError("need count or lambda_max")
     # shift just below the spectrum: the wanted eigenvalues must remain the
     # extreme end of 1/(lambda - sigma), and A - sigma M positive definite
     sigma = 0.0 if ops.bc is BoundaryCondition.DIRICHLET else -0.2 * ops.params.mu
+    # abs copies of A and M are made here, before any block or factor exists,
+    # so that they never add to a factor's memory peak
+    norms = _norms(ops)
     blocks = symmetry_blocks(ops)
     if count is None:
         estimate = weyl_count_estimate(ops.params, ops.mesh.domain, lambda_max, ops.bc)
-        rigid = 3 if ops.bc is BoundaryCondition.FREE else 0
-        wants = [int(1.05 * estimate * (blk.n / ops.n)) + rigid for blk in blocks]
+        free = ops.bc is BoundaryCondition.FREE
+        wants = [
+            int(1.05 * estimate * (blk.n / ops.n))
+            + (_rigid_modes(blk, ops.mesh.rotation_order) if free else 0)
+            for blk in blocks
+        ]
         cap = lambda_max
     else:
         wants = [
@@ -267,8 +298,8 @@ def solve_eigs(ops: Operators, count: int | None = None, lambda_max: float | Non
 
     def solve(i):
         if blocks[i].n <= _DENSE_LIMIT:
-            return _dense_block(ops, blocks[i], size(i), cap)
-        return _lanczos_block(ops, blocks[i], sigma, size(i), cap)
+            return _dense_block(ops, norms, blocks[i], size(i), cap)
+        return _lanczos_block(ops, norms, blocks[i], sigma, size(i), cap)
 
     parts = [solve(i) for i in range(len(blocks))]
     while True:

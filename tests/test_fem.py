@@ -111,7 +111,7 @@ def test_square_dirichlet_lowest_doublet():
     exact = 2.0 * math.pi**2
     assert abs(r.values[0] - exact) / exact < 2e-2  # O(h^2)
     assert abs(r.values[1] - r.values[0]) < 1e-8 * exact  # multiplicity 2
-    assert r.residuals.max() <= 1e-8
+    assert r.residuals.max() <= eigs_mod._RESID_TOL
 
 
 def test_disk_dirichlet_lowest():

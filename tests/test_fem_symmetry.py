@@ -1,5 +1,8 @@
 """Rotation-symmetry blocks of the FEM eigenproblem."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -113,15 +116,25 @@ def test_arpack_blocks_match_the_whole_operator(bc, mode):
 
 
 def test_free_disk_zero_modes_sit_in_blocks_0_and_pm1():
-    ops = assemble(unit_disk_mesh(8), P11, BC.FREE)
-    r = solve_eigs(ops, count=8)
-    assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) == 3
-    zeros = {}
-    for b in symmetry_blocks(ops):
-        vals = sla.eigh(b.stiffness.toarray(), b.mass.toarray(), eigvals_only=True)
-        zeros[b.m] = int(np.sum(np.abs(vals) <= 1e-8 * vals.max()))
-    # rotation in m = 0; the two translations in m = 1 and its conjugate m = 5
-    assert zeros == {0: 1, 1: 1, 2: 0, 3: 0}
+    # rotation in m = 0; the translations in m = 1 and its conjugate m = 5 on
+    # the C6 disk, both in the real block m = 1 of the C2 square (R = -I), and
+    # all three in the one block of a mesh without a group.  Cutoff mode pads
+    # each block's share by exactly its zero count
+    cases = [
+        (unit_disk_mesh(8), {0: 1, 1: 1, 2: 0, 3: 0}),
+        (unit_square_mesh(8), {0: 1, 1: 2}),
+        (_whole(unit_disk_mesh(6)), {0: 3}),
+    ]
+    for mesh, want in cases:
+        ops = assemble(mesh, P11, BC.FREE)
+        r = solve_eigs(ops, count=8)
+        assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) == 3
+        zeros, padding = {}, {}
+        for b in symmetry_blocks(ops):
+            vals = sla.eigh(b.stiffness.toarray(), b.mass.toarray(), eigvals_only=True)
+            zeros[b.m] = int(np.sum(np.abs(vals) <= 1e-8 * vals.max()))
+            padding[b.m] = eigs_mod._rigid_modes(b, mesh.rotation_order)
+        assert zeros == padding == want
 
 
 def test_count_mode_grows_the_block_with_the_lowest_gap(monkeypatch):
@@ -132,9 +145,9 @@ def test_count_mode_grows_the_block_with_the_lowest_gap(monkeypatch):
     solved = []
     real_block = eigs_mod._lanczos_block
 
-    def block(ops, blk, sigma, k, cap):
+    def block(ops, norms, blk, sigma, k, cap):
         solved.append(blk.m)
-        return real_block(ops, blk, sigma, k, cap)
+        return real_block(ops, norms, blk, sigma, k, cap)
 
     monkeypatch.setattr(eigs_mod, "_EXTRA", 1)
     monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
@@ -151,9 +164,9 @@ def test_cutoff_mode_growth_goes_through_the_shared_loop(monkeypatch):
     solved = []
     real_block, real_estimate = eigs_mod._lanczos_block, eigs_mod.weyl_count_estimate
 
-    def block(ops, blk, sigma, k, cap):
+    def block(ops, norms, blk, sigma, k, cap):
         solved.append(blk.m)
-        return real_block(ops, blk, sigma, k, cap)
+        return real_block(ops, norms, blk, sigma, k, cap)
 
     monkeypatch.setattr(eigs_mod, "_EXTRA", 1)
     monkeypatch.setattr(eigs_mod, "weyl_count_estimate", lambda *args: 0.9 * real_estimate(*args))
@@ -242,6 +255,90 @@ def test_singular_free_sizing_needs_one_arpack_call_per_block(monkeypatch):
     assert r.method == "lanczos" and min(r.block_sizes) > eigs_mod._DENSE_LIMIT
     assert len(calls) == len(r.block_sizes)
     assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) >= 3
+
+
+def _count_live_factors(monkeypatch):
+    """Replace ``_factor`` by one whose factors are proxies held in a WeakSet:
+    (the live proxies, the number live at each ``_factor`` entry, the block m
+    of each factor)."""
+    live, at_entry, blocks = weakref.WeakSet(), [], []
+    current = []
+    real_factor, real_block = eigs_mod._factor, eigs_mod._lanczos_block
+
+    class Factor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, b):  # a bound method: what holds it holds the proxy
+            return self._lu.solve(b)
+
+        @property
+        def U(self):
+            return self._lu.U
+
+    def factor(A, M, shift):
+        at_entry.append(len(live))
+        blocks.append(current[-1])
+        f = Factor(real_factor(A, M, shift))
+        live.add(f)
+        return f
+
+    def block(ops, norms, blk, sigma, k, cap):
+        current.append(blk.m)
+        return real_block(ops, norms, blk, sigma, k, cap)
+
+    monkeypatch.setattr(eigs_mod, "_factor", factor)
+    monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
+    return live, at_entry, blocks
+
+
+def _fail_residuals_on_m1(monkeypatch, times):
+    """``_residuals`` reports 1.0 for every pair of block m = 1, ``times`` times."""
+    real = eigs_mod._residuals
+    failed = []
+
+    def residuals(ops, norms, blk, vals, vecs):
+        if blk.m == 1 and len(failed) < times:
+            failed.append(blk.m)
+            return np.ones(len(vals))
+        return real(ops, norms, blk, vals, vecs)
+
+    monkeypatch.setattr(eigs_mod, "_residuals", residuals)
+    return failed
+
+
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+@pytest.mark.parametrize("mode", [{"count": 40}, {"lambda_max": 100.0}])
+@pytest.mark.parametrize("retries", [0, 1, None])
+def test_one_superlu_factor_is_alive_at_a_time(monkeypatch, bc, mode, retries):
+    # the cyclic collector is off, so a factor that only a reference cycle
+    # frees (eigsh -> eigs on a complex block) stays counted; retries = 1
+    # refuses block m = 1's first residuals, None refuses them on every seed
+    ops = assemble(unit_disk_mesh(24), P11, bc)
+    assert min(b.n for b in symmetry_blocks(ops)) > eigs_mod._DENSE_LIMIT
+    live, at_entry, blocks = _count_live_factors(monkeypatch)
+    failed = _fail_residuals_on_m1(monkeypatch, len(eigs_mod._SEEDS) if retries is None else retries)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if retries is None:
+            with pytest.raises(SolverError, match="residual"):
+                solve_eigs(ops, **mode)
+        else:
+            r = solve_eigs(ops, **mode)
+        alive_after = len(live)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(at_entry) >= 2 and max(at_entry) == 0
+    assert alive_after == 0
+    if retries is None:
+        # every seed of block m = 1 reuses its one shift factor
+        assert len(failed) == len(eigs_mod._SEEDS) and blocks.count(1) == 1
+        return
+    assert r.method == "lanczos" and len(failed) == retries
+    # the seed retry reuses the shift factor: shift and inertia, once each
+    assert blocks.count(1) == 2
 
 
 def test_fem_spectrum_records_its_reduction(tmp_path):
