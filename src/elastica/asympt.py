@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import Theory, boundary_coefficient, weyl_a
-from .errors import ParameterDomainError, TailBoundError, WindowError
+from .errors import ParameterDomainError, SingularLimitError, TailBoundError, WindowError
 from .specfun import gamma_fn
 from .spectrum import Spectrum
 
@@ -80,31 +80,84 @@ def _tail_bound(spectrum: Spectrum, a_coeff: float, t):
 
 
 def _z_values(spectrum: Spectrum, t):
-    evs = spectrum.eigenvalues
-    mults = spectrum.multiplicities
-    return np.exp(-np.outer(t, evs)) @ mults
+    """Z at each t of an array, every row summed alone: a matrix product's row
+    sums (BLAS gemv) depend on how many rows there are, so a window could
+    reject a t that passes the tail test alone."""
+    terms = np.outer(-t, spectrum.eigenvalues)
+    np.exp(terms, out=terms)
+    terms *= spectrum.multiplicities
+    return terms.sum(axis=1)
 
 
 def min_admissible_t(spectrum: Spectrum) -> float:
-    """Smallest t whose truncation tail is below the declared fraction of Z."""
+    """Smallest t in [1e-12, 1e3] whose truncation tail is below the declared fraction of Z.
+
+    g(t) = log tail(t) - log(TAIL_FRACTION * Z(t)) has derivative
+    -1/t - (lambda_max - <lambda>_t) < 0, so it has one root.  It is
+    bracketed from the Weyl guess t = ln(2e6)/lambda_max outward by factors
+    of 4 and solved to 1e-14 by Illinois false position, with Z summed
+    relative to the lowest eigenvalue so that nothing underflows; t is then
+    stepped up until heat_trace's own floating-point test passes.  With
+    Z = 0 (no eigenvalue) only a tail that underflows to 0 passes, and that
+    test is bisected in log t to 1e-12.
+    """
     a_coeff = weyl_a(spectrum.params, 2)
+    t_lo, t_hi = 1e-12, 1e3
 
     def ok(t):
         z = _z_values(spectrum, np.array([t]))[0]
         return _tail_bound(spectrum, a_coeff, t) <= TAIL_FRACTION * z
 
-    lo, hi = 1e-12, 1e3
-    if not ok(hi):
+    if not ok(t_hi):
         raise TailBoundError("spectrum cutoff too small for any reasonable t", t_min=math.inf)
+    evs, mults = spectrum.eigenvalues, spectrum.multiplicities
+    if not np.any(mults):
+        lo, hi = t_lo, t_hi
+        while hi / lo >= 1.0 + 1e-12:
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+        return hi
+    shift = float(evs.min())
+    gaps = shift - evs
+    slope = spectrum.lambda_max - shift
+    const = math.log(2.0 * a_coeff * spectrum.domain.volume / TAIL_FRACTION)
+
+    def g(t):
+        return const - t * slope - math.log(t) - math.log(mults @ np.exp(t * gaps))
+
+    a = b = min(max(math.log(2.0 / TAIL_FRACTION) / spectrum.lambda_max, t_lo), t_hi)
+    ga = gb = g(a)
+    while ga <= 0.0 and a > t_lo:
+        b, gb = a, ga
+        a = max(a / 4.0, t_lo)
+        ga = g(a)
+    while gb > 0.0 and b < t_hi:
+        a, ga = b, gb
+        b = min(4.0 * b, t_hi)
+        gb = g(b)
+    if ga <= 0.0:
+        b = a
+    moved = 0  # end replaced by the last step: -1 = a, +1 = b
     for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo < 1.0 + 1e-12:
+        if not (ga > 0.0 > gb and b - a > 1e-14 * b):
             break
-    return hi
+        # a step that would land within 1e-14/4 of an end stops that far
+        # inside, so a root that close to the end is crossed, not crept up on
+        gap = 0.25e-14 * b
+        t = min(max(b - gb * (b - a) / (gb - ga), a + gap), b - gap)
+        gt = g(t)
+        if gt > 0.0:
+            a, ga = t, gt
+            gb = 0.5 * gb if moved == -1 else gb  # Illinois: an end kept twice is halved
+            moved = -1
+        else:
+            b, gb = t, gt
+            ga = 0.5 * ga if moved == 1 else ga
+            moved = 1
+    t, step = b, 2.0**-52
+    while not ok(t):
+        t, step = min(t * (1.0 + step), t_hi), 2.0 * step
+    return t
 
 
 def heat_trace(spectrum: Spectrum, t_grid) -> HeatTrace:
@@ -216,7 +269,7 @@ def fit_two_term(spectrum: Spectrum, model: str, window=None) -> FitReport:
     for theory in Theory:
         try:
             b_theory = boundary_coefficient(params, 2, spectrum.bc, theory)
-        except Exception as exc:  # the free counting coefficient at alpha = 1
+        except SingularLimitError as exc:  # the free CFLV coefficient at alpha = 1
             discriminator[theory.value] = {"error": str(exc)}
             continue
         if model == "heat":

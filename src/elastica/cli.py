@@ -9,6 +9,7 @@ verification failure, 2 usage error, 3 incompatible-parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -318,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dim", type=int, default=2)
     pc.add_argument("--theory", choices=["cflv", "liu", "both"], default="both")
     pc.add_argument("--json", type=str, default=None)
-    pc.set_defaults(func=cmd_coeffs)
 
     ps = sub.add_parser("spectrum", help="compute a spectrum and write it as CSV")
     ps.add_argument("--domain", choices=["disk", "square"], required=True)
@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", type=str, required=True)
     ps.add_argument("--kmax", type=int, default=60)
     ps.add_argument("--h", type=float, default=None, help="target element size for the FEM path")
-    ps.set_defaults(func=cmd_spectrum)
 
     pf = sub.add_parser("fit", help="two-term coefficient fit from a spectrum file")
     pf.add_argument("--spectrum", type=str, required=True)
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--window", type=str, default=None, help="'lo,hi' (t for heat, lambda for counting)")
     pf.add_argument("--out", type=str, required=True)
     pf.add_argument("--csv", type=str, default=None, help="also write plot-ready samples")
-    pf.set_defaults(func=cmd_fit)
 
     pv = sub.add_parser("verify", help="resolvent-symbol and cancellation checks")
     pv.add_argument("--suite", choices=["residue", "interior", "boundary", "prop71", "all"], required=True)
@@ -346,14 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--lambda", dest="lam", type=float, required=True)
     pv.add_argument("--dim", type=int, default=2)
     pv.add_argument("--json", type=str, default=None)
-    pv.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept for the life of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    # names resolved per call, so a command replaced after the parser was built still runs
+    commands = {"coeffs": cmd_coeffs, "spectrum": cmd_spectrum, "fit": cmd_fit, "verify": cmd_verify}
+    return commands[args.command](parser, args)
 
 
 if __name__ == "__main__":

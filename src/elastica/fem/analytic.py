@@ -59,11 +59,16 @@ def square_neumann_lattice_spectrum(mu: float, lambda_max: float) -> Spectrum:
 
 
 def disk_dirichlet_spectrum(mu: float, lambda_max: float) -> Spectrum:
-    """mu*j_{k,m}^2; multiplicity 2 for k = 0 and 4 for k >= 1 (pairs +-k, doubled)."""
+    """mu*j_{k,m}^2; multiplicity 2 for k = 0 and 4 for k >= 1 (pairs +-k, doubled).
+
+    One ``bessel_zeros`` call over every order that can have a zero below
+    jmax = sqrt(lambda_max/mu), with the cutoff jmax: only the zeros kept are
+    made, each bit for bit the one the count form would give.
+    """
     jmax = math.sqrt(lambda_max / mu)
     # j_{k,1} > k + 1.8557*k^(1/3) (Qu & Wong 1999), so no other order has a zero below jmax
     ks = np.arange(int(jmax) + 1)
-    zeros = bessel_zeros(ks[ks + 1.85 * np.cbrt(ks) <= jmax], int(jmax / math.pi) + 2)
+    zeros = bessel_zeros(ks[ks + 1.85 * np.cbrt(ks) <= jmax], int(jmax / math.pi) + 2, below=jmax)
     k, m = np.nonzero(zeros <= jmax)
     values = mu * zeros[k, m] * zeros[k, m]
     order = np.argsort(values, kind="stable")

@@ -39,7 +39,7 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     return _backend.jn_table(int(nmax), [float(x)]).ravel()
 
 
-def bessel_zeros(k, m: int) -> np.ndarray:
+def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:
     """First m positive zeros of J_k, ascending, for one order k or a 1-D array of orders.
 
     An array of orders gives one row of m zeros per order.  Every order gets
@@ -47,27 +47,46 @@ def bessel_zeros(k, m: int) -> np.ndarray:
     above j_{k,m}; zeros of J_k are more than 3 apart, so each sign change on
     a grid brackets one zero.  All grids are evaluated in one call, all
     brackets refined in lockstep and every zero Newton-polished.
+
+    With ``below``, only zeros up to that cutoff are made: each grid also
+    stops at its first point at or past the cutoff, and the row entries past
+    the cutoff (or past an order's last zero below it) are inf.  The grids
+    are prefixes of the count form's and every bracket is refined alone, so
+    each zero returned is bit for bit the count form's.
     """
     if not isinstance(m, (int, np.integer)) or m < 0 or m > 10_000:
         raise RangeError(f"zero count must be an integer in [0, 10000], got {m!r}")
     ks = np.asarray(k)
     if ks.ndim > 1 or ks.dtype.kind not in "iu" or np.any((ks < 0) | (ks > _MAX_ORDER)):
         raise RangeError(f"order must be an integer in [0, {_MAX_ORDER}], got {k!r}")
+    if below is not None and not (0.0 <= below <= _MAX_ARG):
+        raise RangeError(f"cutoff must lie in [0, {_MAX_ARG:g}], got {below!r}")
     kk = np.atleast_1d(ks).astype(np.int64)
     x0 = np.where(kk == 0, 0.5, kk + 0.3)  # J_k > 0 on (0, j_{k,1})
     n = np.ceil((m + 0.5 * kk) * math.pi - x0).astype(np.int64) + 1
+    full = np.ones(kk.size, dtype=bool)  # grids that reach (m + k/2)*pi
+    if below is not None:
+        n_below = np.maximum(np.ceil(below - x0).astype(np.int64) + 1, 0)
+        full = n <= n_below
+        n = np.minimum(n, n_below)
     owner = np.repeat(np.arange(kk.size), n)
     x = x0[owner] + (np.arange(owner.size) - (np.cumsum(n) - n)[owner])
     f = _backend.jk_pairs(kk[owner], x)[0]
     cross = np.flatnonzero((owner[:-1] == owner[1:]) & (f[:-1] * f[1:] < 0.0))
     found = np.bincount(owner[cross], minlength=kk.size)
-    if np.any(found < m):
-        raise BracketError(f"fewer than {m} sign changes of J_k below (m + k/2)*pi for k = {kk[found < m]}")
-    cross = cross[np.arange(cross.size) - (np.cumsum(found) - found)[owner[cross]] < m]
+    if np.any(full & (found < m)):
+        short = kk[full & (found < m)]
+        raise BracketError(f"fewer than {m} sign changes of J_k below (m + k/2)*pi for k = {short}")
+    rank = np.arange(cross.size) - (np.cumsum(found) - found)[owner[cross]]
+    cross, rank = cross[rank < m], rank[rank < m]
     kz = kk[owner[cross]]
     jk = lambda x, i: _backend.jk_pairs(kz[i], x)[0]
     # Newton from 1e-10 relative leaves an error near 1e-20 relative (J''/J' = -1/x at a zero)
-    zeros = refine_brackets(jk, x[cross], x[cross + 1], f[cross], f[cross + 1], 1e-10)
-    j, jp = _backend.jk_pairs(kz, zeros)
-    zeros = (zeros - j / jp).reshape(kk.size, m)
+    roots = refine_brackets(jk, x[cross], x[cross + 1], f[cross], f[cross + 1], 1e-10)
+    j, jp = _backend.jk_pairs(kz, roots)
+    roots = roots - j / jp
+    if below is not None:
+        roots[roots > below] = math.inf  # the last bracket of a grid may end past the cutoff
+    zeros = np.full((kk.size, m), math.inf)
+    zeros[owner[cross], rank] = roots
     return zeros if ks.ndim else zeros[0]

@@ -348,3 +348,80 @@ def test_default_heat_window_is_admissible():
     assert len(t) == 24
     heat_trace(sp, t)  # does not raise
     assert t[-1] / t[0] == pytest.approx(10.0)
+
+
+def _bisected_min_t(sp):
+    """The 46-step bisection of log t on [1e-12, 1e3] that min_admissible_t replaced."""
+    from elastica.asympt import TAIL_FRACTION, _tail_bound, _z_values
+
+    a_coeff = weyl_a(sp.params, 2)
+
+    def ok(t):
+        return _tail_bound(sp, a_coeff, t) <= TAIL_FRACTION * _z_values(sp, np.array([t]))[0]
+
+    lo, hi = 1e-12, 1e3
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi / lo < 1.0 + 1e-12:
+            break
+    return hi
+
+
+def _heat_window_spectra():
+    from elastica.diskmodes import disk_spectrum_potential
+
+    for make in (square_dirichlet_spectrum, square_neumann_lattice_spectrum, disk_dirichlet_spectrum):
+        for mu in (0.98, 1.0, 1.3):
+            for lam_max in (50.0, 250.0, 800.0, 5e3, 3e4):
+                yield f"{make.__name__}({mu}, {lam_max:g})", make(mu, lam_max)
+    for lam in (0.0, 1.0, 3.0):  # the potential_sweep benchmark's spectra; free ones hold zero modes
+        for bc in (BC.DIRICHLET, BC.FREE):
+            sp = disk_spectrum_potential(LameParams(1.0, lam), bc, k_max=60, lambda_max=250.0)
+            yield f"potential({lam}, {bc.value})", sp
+    yield "singleton", _spectrum_from_values([1.0], lambda_max=50.0)
+    yield "empty", _spectrum_from_values([], lambda_max=50.0)
+
+
+def test_min_admissible_t_is_heat_traces_threshold():
+    free_zero_modes = 0
+    for name, sp in _heat_window_spectra():
+        t = min_admissible_t(sp)
+        heat_trace(sp, [t])  # admissible
+        with pytest.raises(TailBoundError):
+            heat_trace(sp, [t * (1.0 - 1e-10)])
+        old = _bisected_min_t(sp)
+        assert abs(t - old) <= 1e-12 * old, (name, t, old)
+        # each t of a window sums Z alone, so the default window starting at t passes too
+        window = default_heat_window(sp)
+        z = heat_trace(sp, window).values
+        assert np.array_equal(z, [heat_trace(sp, [s]).values[0] for s in window]), name
+        free_zero_modes += name.startswith("potential") and sp.eigenvalues[0] == 0.0
+    assert free_zero_modes == 3
+
+
+def test_min_admissible_t_raises_when_no_t_is_admissible():
+    # at t = 1e3 the tail bound 2*a*V*exp(-12)/t still exceeds 1e-6 * exp(-10)
+    sp = _spectrum_from_values([0.01], lambda_max=0.012)
+    with pytest.raises(TailBoundError) as exc:
+        min_admissible_t(sp)
+    assert exc.value.t_min == math.inf
+
+
+def test_fit_records_only_the_singular_free_coefficient(monkeypatch):
+    # traction-free at alpha = 1 (lambda = -mu): CFLV's coefficient is singular, Liu's is finite
+    sp = square_neumann_lattice_spectrum(1.0, 2e3)
+    rep = fit_two_term(sp, "heat")
+    assert "error" in rep.discriminator["cflv"] and "distance" in rep.discriminator["liu"]
+
+    import elastica.asympt as asympt
+
+    def broken(*args, **kwargs):
+        raise ParameterDomainError("not a singular limit")
+
+    monkeypatch.setattr(asympt, "boundary_coefficient", broken)
+    with pytest.raises(ParameterDomainError, match="not a singular limit"):
+        fit_two_term(sp, "heat")

@@ -181,6 +181,28 @@ def test_zeros_of_many_orders_match_each_order_alone():
             assert np.max(np.abs(row - ref) / ref) <= 4.4e-16, (k, m)
 
 
+def test_zeros_below_a_cutoff_match_the_count_form():
+    ks = np.arange(201)
+    m = 20  # j_{0,20} > 60 > j_{50,1} + 1e-9, so every count-form row reaches each cutoff
+    table = bessel_zeros(ks, m)
+    for k, i in ((0, 1), (1, 3), (50, 1)):
+        z = table[k, i - 1]
+        for cut in (z - 1e-9, z + 1e-9):
+            got = bessel_zeros(ks, m, below=cut)
+            assert got.shape == (ks.size, m)
+            kept = np.isfinite(got)
+            assert np.array_equal(got[kept], table[kept])  # bit for bit
+            assert np.all(got[kept] <= cut)
+            assert np.array_equal(kept, table <= cut)  # none below the cutoff missing
+            assert np.isfinite(got[k, i - 1]) == (cut > z)
+    at_zero = bessel_zeros(50, m, below=table[50, 0])  # a cutoff on a zero keeps it
+    assert at_zero[0] == table[50, 0] and np.all(np.isinf(at_zero[1:]))
+    assert np.all(np.isinf(bessel_zeros(ks, m, below=0.0)))
+    for cut in (-1.0, math.nan, 2e6):
+        with pytest.raises(RangeError):
+            bessel_zeros(0, 3, below=cut)
+
+
 def test_zero_table_raises_without_enough_brackets(monkeypatch):
     # a J_k without m sign changes below (m + k/2)*pi must not give a short row
     from elastica.errors import BracketError

@@ -263,3 +263,20 @@ def test_verify_failure_exit1(monkeypatch, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "residue: FAIL" in out
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    import elastica.cli as cli
+
+    argv = ["verify", "--suite", "interior", "--mu", "1", "--lambda", "1"]
+    report = tmp_path / "v.json"
+    assert run(argv + ["--json", str(report)]) == 0
+    assert json.loads(report.read_text())["outputs"]["interior"]["verdict"] == "PASS"
+    report.unlink()
+    assert run(argv) == 0  # no --json: no report, not even the last one's
+    assert list(tmp_path.iterdir()) == []
+    assert cli._parser() is cli._parser()
+    # a command replaced after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "cmd_verify", lambda parser, args: 42)
+    assert run(argv) == 42
+    capsys.readouterr()
