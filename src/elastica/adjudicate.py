@@ -69,16 +69,19 @@ def _nearest_distance(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(x - left), np.abs(x - right))
 
 
+# relative distance below the common cutoff at which a comparison stops
+_EDGE_MARGIN = 0.005
+
+
 def compare_spectra(
     spec_a: Spectrum,
     spec_b: Spectrum,
     pair_rtol: float = 5e-3,
-    edge_margin: float = 0.005,
     n_samples: int = 60,
 ) -> SpectrumComparison:
     """Pair eigenvalue lists and tabulate count differences.
 
-    The comparison stops slightly below the common cutoff (``edge_margin``
+    The comparison stops slightly below the common cutoff (``_EDGE_MARGIN``
     relative) so an eigenvalue straddling the cutoff in one method only is
     not misread as a lost mode.  Sample points for the count table are gap
     midpoints of the union list, which keeps them away from eigenvalues of
@@ -86,7 +89,7 @@ def compare_spectra(
     """
     if spec_a.domain.name != spec_b.domain.name or spec_a.bc != spec_b.bc:
         raise ParameterDomainError("spectra must share domain and boundary condition")
-    lam_cut = (1.0 - edge_margin) * min(spec_a.lambda_max, spec_b.lambda_max)
+    lam_cut = (1.0 - _EDGE_MARGIN) * min(spec_a.lambda_max, spec_b.lambda_max)
     ea = spec_a.expanded()
     eb = spec_b.expanded()
     ea = ea[ea < lam_cut]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .coeffs import Theory, boundary_coefficient, weyl_a
 from .errors import ParameterDomainError, SingularLimitError, TailBoundError, WindowError
-from .specfun import gamma_fn
 from .spectrum import Spectrum
 
 TAIL_FRACTION = 1e-6
@@ -24,6 +23,8 @@ TAIL_FRACTION = 1e-6
 
 def _grid_below_cutoff(spectrum: Spectrum, lambda_grid) -> np.ndarray:
     grid = np.asarray(lambda_grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ParameterDomainError("grid must be finite")
     if grid.size and grid.max() > spectrum.lambda_max * (1 + 1e-12):
         raise ParameterDomainError(
             f"grid exceeds the spectrum cutoff lambda_max={spectrum.lambda_max}"
@@ -79,44 +80,44 @@ def _tail_bound(spectrum: Spectrum, a_coeff: float, t):
     return 2.0 * av * np.exp(-t * spectrum.lambda_max) / t
 
 
-def _z_values(spectrum: Spectrum, t):
-    """Z at each t of an array, every row summed alone: a matrix product's row
-    sums (BLAS gemv) depend on how many rows there are, so a window could
-    reject a t that passes the tail test alone."""
-    terms = np.outer(-t, spectrum.eigenvalues)
+def _tail_test(spectrum: Spectrum, a_coeff: float, t):
+    """The tail test at each t of an array, in log form: (excess, Z).
+
+    excess = log tail(t) - log(TAIL_FRACTION * Z(t)), and t is admissible iff
+    excess <= 0.  Z = e^{-t tau_min} S with S = sum mult e^{-t (tau - tau_min)}
+    summed relative to the lowest eigenvalue, so S >= 1 never underflows and
+    the test holds its meaning where Z and the tail both underflow.  Each row
+    of S is summed alone: a matrix product's row sums (BLAS gemv) depend on
+    how many rows there are, so a window could reject a t that passes alone.
+    An empty spectrum has S = 0 and excess = +inf: no t is admissible.
+    """
+    evs = spectrum.eigenvalues
+    shift = float(evs.min()) if evs.size else 0.0
+    terms = np.outer(-t, evs - shift)
     np.exp(terms, out=terms)
     terms *= spectrum.multiplicities
-    return terms.sum(axis=1)
+    s = terms.sum(axis=1)
+    const = math.log(2.0 * a_coeff * spectrum.domain.volume / TAIL_FRACTION)
+    with np.errstate(divide="ignore"):
+        excess = const - t * (spectrum.lambda_max - shift) - np.log(t) - np.log(s)
+    return excess, np.exp(-t * shift) * s
 
 
 def min_admissible_t(spectrum: Spectrum) -> float:
-    """Smallest t in [1e-12, 1e3] whose truncation tail is below the declared fraction of Z.
+    """Smallest t in [1e-12, 1e3] that passes the tail test (``_tail_test``).
 
-    g(t) = log tail(t) - log(TAIL_FRACTION * Z(t)) has derivative
-    -1/t - (lambda_max - <lambda>_t) < 0, so it has one root.  It is
-    bracketed from the Weyl guess t = ln(2e6)/lambda_max outward by factors
-    of 4 and solved to 1e-14 by Illinois false position, with Z summed
-    relative to the lowest eigenvalue so that nothing underflows; t is then
-    stepped up until heat_trace's own floating-point test passes.  With
-    Z = 0 (no eigenvalue) only a tail that underflows to 0 passes, and that
-    test is bisected in log t to 1e-12.
+    The log excess g(t) has derivative -1/t - (lambda_max - <lambda>_t) < 0,
+    so it has one root.  It is bracketed from the Weyl guess
+    t = ln(2e6)/lambda_max outward by factors of 4 and solved to 1e-14 by
+    Illinois false position; t is then stepped up until the test itself
+    passes.  TailBoundError (t_min = inf) when even t = 1e3 fails, as it
+    does for an empty spectrum.
     """
     a_coeff = weyl_a(spectrum.params, 2)
     t_lo, t_hi = 1e-12, 1e3
-
-    def ok(t):
-        z = _z_values(spectrum, np.array([t]))[0]
-        return _tail_bound(spectrum, a_coeff, t) <= TAIL_FRACTION * z
-
-    if not ok(t_hi):
+    if _tail_test(spectrum, a_coeff, np.array([t_hi]))[0][0] > 0.0:
         raise TailBoundError("spectrum cutoff too small for any reasonable t", t_min=math.inf)
     evs, mults = spectrum.eigenvalues, spectrum.multiplicities
-    if not np.any(mults):
-        lo, hi = t_lo, t_hi
-        while hi / lo >= 1.0 + 1e-12:
-            mid = math.sqrt(lo * hi)
-            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
-        return hi
     shift = float(evs.min())
     gaps = shift - evs
     slope = spectrum.lambda_max - shift
@@ -155,7 +156,7 @@ def min_admissible_t(spectrum: Spectrum) -> float:
             ga = 0.5 * ga if moved == 1 else ga
             moved = 1
     t, step = b, 2.0**-52
-    while not ok(t):
+    while _tail_test(spectrum, a_coeff, np.array([t]))[0][0] > 0.0:
         t, step = min(t * (1.0 + step), t_hi), 2.0 * step
     return t
 
@@ -163,17 +164,18 @@ def min_admissible_t(spectrum: Spectrum) -> float:
 def heat_trace(spectrum: Spectrum, t_grid) -> HeatTrace:
     """Z(t) = sum mult * exp(-t tau) over the truncated spectrum.
 
-    Every requested t must satisfy the tail criterion
-    tail(t) <= 1e-6 * Z(t); otherwise a TailBoundError names the smallest
-    admissible t for this cutoff.
+    Every requested t must pass the tail test tail(t) <= 1e-6 * Z(t), taken
+    in log form (``_tail_test``); otherwise a TailBoundError names the
+    smallest admissible t for this cutoff.
     """
     t = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ParameterDomainError("t grid must be finite")
     if np.any(t <= 0):
         raise ParameterDomainError("t grid must be positive")
     a_coeff = weyl_a(spectrum.params, 2)
-    z = _z_values(spectrum, t)
-    tails = _tail_bound(spectrum, a_coeff, t)
-    bad = tails > TAIL_FRACTION * z
+    excess, z = _tail_test(spectrum, a_coeff, t)
+    bad = excess > 0.0
     if np.any(bad):
         t_min = min_admissible_t(spectrum)
         raise TailBoundError(
@@ -181,13 +183,17 @@ def heat_trace(spectrum: Spectrum, t_grid) -> HeatTrace:
             f"minimal admissible t is {t_min:g}",
             t_min=t_min,
         )
-    return HeatTrace(t=t, values=z, tail_bounds=tails)
+    return HeatTrace(t=t, values=z, tail_bounds=_tail_bound(spectrum, a_coeff, t))
 
 
-def default_heat_window(spectrum: Spectrum, points: int = 24, span: float = 10.0) -> np.ndarray:
-    """Log-spaced t window [t_min, span*t_min]: the deepest admissible regime."""
-    t0 = min_admissible_t(spectrum)
-    return np.geomspace(t0, span * t0, points)
+def _heat_window(t0: float) -> np.ndarray:
+    """Log-spaced t window [t0, 10*t0] of 24 points."""
+    return np.geomspace(t0, 10.0 * t0, 24)
+
+
+def default_heat_window(spectrum: Spectrum) -> np.ndarray:
+    """The heat window from the smallest admissible t: the deepest admissible regime."""
+    return _heat_window(min_admissible_t(spectrum))
 
 
 @dataclass
@@ -273,7 +279,7 @@ def fit_two_term(spectrum: Spectrum, model: str, window=None) -> FitReport:
             discriminator[theory.value] = {"error": str(exc)}
             continue
         if model == "heat":
-            b_theory *= gamma_fn(1.5)
+            b_theory *= math.gamma(1.5)
         dist = abs(b_hat_per_length - b_theory)
         entry = {"target": b_theory, "distance": dist}
         if emitted:
@@ -345,8 +351,7 @@ def prop71_empirical(
         raise ParameterDomainError("spectra must share the material parameters")
     if abs(sd.lambda_max - sf.lambda_max) > 1e-9 * max(sd.lambda_max, sf.lambda_max):
         raise ParameterDomainError("spectra must share lambda_max")
-    t_min = max(min_admissible_t(sd), min_admissible_t(sf))
-    t = np.geomspace(t_min, 10.0 * t_min, 24)
+    t = _heat_window(max(min_admissible_t(sd), min_admissible_t(sf)))
     zd = heat_trace(sd, t).values
     zf = heat_trace(sf, t).values
     _, c1_sum, *_ = fit_heat_samples(t, 0.5 * (zd + zf))

@@ -28,6 +28,7 @@ from .asympt import (
     write_remainder_csv,
 )
 from .coeffs import (
+    SUM_TEST_REL_TOL,
     Theory,
     heat_two_term,
     rayleigh_root,
@@ -49,6 +50,8 @@ from .fem import analytic_decoupled_spectrum, fem_spectrum
 from .params import BoundaryCondition, DomainName, DomainGeometry, LameParams
 from .spectrum import read_spectrum, write_spectrum
 from .symbolcheck import (
+    INTEGRAL_GAP_TOL,
+    RESIDUE_GAP_TOL,
     STANDARD_T,
     STANDARD_XI2,
     boundary_layer,
@@ -69,8 +72,16 @@ def _write_report(path, command, inputs, outputs):
         "inputs": inputs,
         "outputs": outputs,
     }
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return report
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _params_or_usage(parser, args) -> LameParams:
@@ -105,7 +116,8 @@ def cmd_coeffs(parser, args) -> int:
                 "a_tilde": {"value": h.a_tilde, "tolerance": 1e-14},
                 "b_tilde_minus": {"value": h.b_tilde_minus, "tolerance": _QUAD_TOL},
                 "b_tilde_plus": {"value": h.b_tilde_plus, "tolerance": _QUAD_TOL},
-                "sum_test": {"value": s.total, "tolerance": 1e-12, "verdict": "PASS" if s.passed else "FAIL"},
+                "sum_test": {"value": s.total, "tolerance": SUM_TEST_REL_TOL,
+                             "verdict": "PASS" if s.passed else "FAIL"},
             }
     except SingularLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -149,7 +161,7 @@ def cmd_spectrum(parser, args) -> int:
         return disk_spectrum_potential(params, bc, k_max=args.kmax, lambda_max=args.lambda_max)
 
     def fem():
-        res = _resolution_from_h(args.domain, args.h) if args.h else 24
+        res = 24 if args.h is None else _resolution_from_h(args.domain, args.h)
         return fem_spectrum(domain, params, bc, res, args.lambda_max)
 
     def analytic():
@@ -196,9 +208,9 @@ def cmd_fit(parser, args) -> int:
     window = None
     if args.window:
         try:
-            lo, hi = (float(x) for x in args.window.split(","))
-        except ValueError:
-            parser.error("--window expects 'lo,hi'")
+            lo, hi = (_positive_float(x) for x in args.window.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error("--window expects 'lo,hi', two finite positive numbers")
         if args.model == "heat":
             window = np.geomspace(lo, hi, 24)
         else:
@@ -258,23 +270,23 @@ def cmd_verify(parser, args) -> int:
     try:
         if args.suite in ("residue", "all"):
             residue_gaps = [residue_heat(t, x, params, n).rel_gap for t in STANDARD_T for x in STANDARD_XI2]
-            ok = max(residue_gaps) <= 1e-8
-            outputs["residue"] = {"max_gap": max(residue_gaps), "tolerance": 1e-8,
+            ok = max(residue_gaps) <= RESIDUE_GAP_TOL
+            outputs["residue"] = {"max_gap": max(residue_gaps), "tolerance": RESIDUE_GAP_TOL,
                                   "verdict": "PASS" if ok else "FAIL"}
             all_pass &= ok
         if args.suite in ("interior", "all"):
             interior_gaps = [interior_coefficient(t, params, n).rel_gap for t in STANDARD_T]
-            ok = max(interior_gaps) <= 1e-9
-            outputs["interior"] = {"max_gap": max(interior_gaps), "tolerance": 1e-9,
+            ok = max(interior_gaps) <= INTEGRAL_GAP_TOL
+            outputs["interior"] = {"max_gap": max(interior_gaps), "tolerance": INTEGRAL_GAP_TOL,
                                    "verdict": "PASS" if ok else "FAIL"}
             all_pass &= ok
         if args.suite in ("boundary", "all"):
             # eps only adds the tail to the detail; rel_gap is the one prop71 uses
             reports = [boundary_layer(t, params, n, eps=0.5) for t in STANDARD_T]
-            ok = max(r.rel_gap for r in reports) <= 1e-9
+            ok = max(r.rel_gap for r in reports) <= INTEGRAL_GAP_TOL
             outputs["boundary"] = {
                 "max_gap": max(r.rel_gap for r in reports),
-                "tolerance": 1e-9,
+                "tolerance": INTEGRAL_GAP_TOL,
                 "tail_ratios": [r.detail["tail_ratio"] for r in reports],
                 "verdict": "PASS" if ok else "FAIL",
             }
@@ -288,7 +300,7 @@ def cmd_verify(parser, args) -> int:
                 "max_residue_gap": max(v.residue_gaps),
                 "max_interior_gap": max(v.interior_gaps),
                 "max_boundary_gap": max(v.boundary_gaps),
-                "tolerance": 1e-8,
+                "tolerance": RESIDUE_GAP_TOL,
                 "conclusion": v.conclusion,
                 "premises": list(v.premises),
                 "verdict": "PASS" if v.passed else "FAIL",
@@ -326,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--lambda", dest="lam", type=float, required=True)
     ps.add_argument("--bc", choices=["dirichlet", "free"], required=True)
     ps.add_argument("--method", choices=["potential", "fem", "analytic", "both"], required=True)
-    ps.add_argument("--lambda-max", type=float, required=True)
+    ps.add_argument("--lambda-max", type=_positive_float, required=True)
     ps.add_argument("--out", type=str, required=True)
     ps.add_argument("--kmax", type=int, default=60)
-    ps.add_argument("--h", type=float, default=None, help="target element size for the FEM path")
+    ps.add_argument("--h", type=_positive_float, default=None, help="target element size for the FEM path")
 
     pf = sub.add_parser("fit", help="two-term coefficient fit from a spectrum file")
     pf.add_argument("--spectrum", type=str, required=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, SingularLimitError
 from .params import BoundaryCondition, LameParams, check_dimension
-from .specfun import QuadratureSpec, find_root, gamma_fn, integrate
+from .specfun import QuadratureSpec, integrate
 
 
 class Theory(enum.Enum):
@@ -67,20 +67,25 @@ def rayleigh_cubic(alpha: float, w: float) -> float:
 
 
 def rayleigh_root(alpha: float) -> RayleighRoot:
-    """Certified root of the Rayleigh cubic in [0, 1).
+    """Root w1 of the Rayleigh cubic in [0, 1), by Newton's method from w = 0.
 
-    For alpha < 1 the bracket is [0, 1]: R(0) = 16(alpha-1) < 0 and
-    R(1) = 1 > 0.  Bisection plus Newton polish; alpha = 1 returns 0 exactly.
+    R(0) = 16(alpha - 1) <= 0, R(1) = 1 > 0 and R'' = 6w - 16 < 0 on [0, 1]:
+    R is concave there, so it has one root w1 in [0, 1), its slope is positive
+    on [0, w1], and every tangent lies above the graph.  A Newton step from a w < w1
+    therefore lands in (w, w1], and the iterates climb monotonically to w1;
+    the iteration stops at the first step that no longer moves w up (a zero
+    step, or a step down from a rounding-level residual).  alpha = 1 gives
+    R(0) = 0 and returns w1 = 0.
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if alpha == 1.0:
-        return RayleighRoot(alpha=1.0, w1=0.0, gamma_r=0.0, residual=0.0)
-    f = lambda w: rayleigh_cubic(alpha, w)
-    fp = lambda w: 3.0 * w**2 - 16.0 * w + 8.0 * (3.0 - 2.0 * alpha)
-    w1 = find_root(f, 0.0, 1.0, tol=1e-15, fprime=fp)
-    w1 -= f(w1) / fp(w1)
-    return RayleighRoot(alpha=alpha, w1=w1, gamma_r=math.sqrt(w1), residual=abs(f(w1)))
+    w = 0.0
+    while True:
+        step = rayleigh_cubic(alpha, w) / (3.0 * w**2 - 16.0 * w + 8.0 * (3.0 - 2.0 * alpha))
+        if not w - step > w:
+            break
+        w -= step
+    return RayleighRoot(alpha=alpha, w1=w, gamma_r=math.sqrt(w), residual=abs(rayleigh_cubic(alpha, w)))
 
 
 def weyl_a(params: LameParams, n: int) -> float:
@@ -91,14 +96,14 @@ def weyl_a(params: LameParams, n: int) -> float:
     check_dimension(n)
     return (
         ((n - 1) / params.mu ** (n / 2.0) + 1.0 / params.pressure_speed2 ** (n / 2.0))
-        / ((4.0 * math.pi) ** (n / 2.0) * gamma_fn(1.0 + n / 2.0))
+        / ((4.0 * math.pi) ** (n / 2.0) * math.gamma(1.0 + n / 2.0))
     )
 
 
 def _prefactor(params: LameParams, n: int) -> float:
     """mu^{(1-n)/2} / (2^{n+1} pi^{(n-1)/2} Gamma((n+1)/2))."""
     return params.mu ** ((1.0 - n) / 2.0) / (
-        2.0 ** (n + 1) * math.pi ** ((n - 1) / 2.0) * gamma_fn((n + 1) / 2.0)
+        2.0 ** (n + 1) * math.pi ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0)
     )
 
 
@@ -192,8 +197,8 @@ def weyl_two_term(params: LameParams, n: int, theory: Theory) -> WeylTwoTerm:
 def to_heat_coeffs(w: WeylTwoTerm) -> HeatTwoTerm:
     """Gamma-factor conversion: a~ = Gamma(1+n/2) a, b~ = Gamma(1+(n-1)/2) b."""
     n = w.dimension
-    ga = gamma_fn(1.0 + n / 2.0)
-    gb = gamma_fn(1.0 + (n - 1) / 2.0)
+    ga = math.gamma(1.0 + n / 2.0)
+    gb = math.gamma(1.0 + (n - 1) / 2.0)
     return HeatTwoTerm(
         dimension=n,
         a_tilde=ga * w.a,
@@ -226,8 +231,12 @@ class SumTestResult:
     passed: bool
 
 
-def sum_test(params: LameParams, n: int, theory: Theory, rel_tol: float = 1e-12) -> SumTestResult:
-    """Does b^- + b^+ vanish?  PASS iff |sum| <= rel_tol * max(|b^-|, |b^+|).
+# relative size of b^- + b^+ below which the sum test passes
+SUM_TEST_REL_TOL = 1e-12
+
+
+def sum_test(params: LameParams, n: int, theory: Theory) -> SumTestResult:
+    """Does b^- + b^+ vanish?  PASS iff |sum| <= SUM_TEST_REL_TOL * max(|b^-|, |b^+|).
 
     Identically PASS for the sign-symmetric theory; the counting theory's
     sum is generically nonzero, which is exactly the cancellation dispute.
@@ -240,5 +249,5 @@ def sum_test(params: LameParams, n: int, theory: Theory, rel_tol: float = 1e-12)
         b_minus=bm,
         b_plus=bp,
         total=total,
-        passed=abs(total) <= rel_tol * max(abs(bm), abs(bp)),
+        passed=abs(total) <= SUM_TEST_REL_TOL * max(abs(bm), abs(bp)),
     )

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDecompositionError, ParameterDomainError
-from .params import BoundaryCondition, LameParams, UNIT_DISK
+from .params import ALPHA_DECOUPLED_TOL, BoundaryCondition, LameParams, UNIT_DISK
 from .coeffs import rayleigh_root
 from .spectrum import Method, Spectrum
 from .specfun import _backend
 from .specfun.roots import refine_brackets
 
-_ALPHA_DEGENERATE_TOL = 1e-12
 _BISECT_REL_TOL = 1e-12
 _RESIDUAL_REL = 1e-9
 _NEAR_DOUBLE_SCALE = 1e-6
@@ -58,7 +57,7 @@ class DiskMode:
 
 
 def _check_alpha(params: LameParams, bc: BoundaryCondition):
-    if abs(params.alpha - 1.0) <= _ALPHA_DEGENERATE_TOL:
+    if abs(params.alpha - 1.0) <= ALPHA_DECOUPLED_TOL:
         if bc is BoundaryCondition.FREE:
             # no other route has a spectrum here either (fem._refuse_free_decoupled)
             hint = ("traction free, every displacement with u_1 + i u_2 holomorphic has zero energy, "
@@ -283,8 +282,8 @@ def disk_modes_potential(
     complete.
     """
     _check_alpha(params, bc)
-    if k_max > 60:
-        raise ParameterDomainError(f"k_max capped at 60, got {k_max}")
+    if not 0 <= k_max <= 60:
+        raise ParameterDomainError(f"k_max must lie in [0, 60], got {k_max}")
     if lambda_max > 1e5:
         raise ParameterDomainError(f"lambda_max capped at 1e5, got {lambda_max}")
     k_cap, lambda_max = _active_k_max(params, bc, lambda_max, k_max)

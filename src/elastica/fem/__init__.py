@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularLimitError, SolverError
-from ..params import BoundaryCondition, DomainGeometry, LameParams
+from ..params import ALPHA_DECOUPLED_TOL, BoundaryCondition, DomainGeometry, LameParams
 from ..spectrum import Method, Spectrum, merge_close
 from .analytic import (
     analytic_decoupled_spectrum,
@@ -22,7 +22,7 @@ from .analytic import (
     square_neumann_lattice_spectrum,
 )
 from .assemble import Operators, assemble
-from .eigs import EigResult, solve_eigs, weyl_count_estimate
+from .eigs import _ZERO_REL, EigResult, solve_eigs, weyl_count_estimate
 from .mesh import Mesh, min_angle_deg, unit_disk_mesh, unit_square_mesh
 from .refine import ExtrapolationResult, build_mesh, refine_and_extrapolate
 
@@ -50,8 +50,6 @@ __all__ = [
 
 # eigenvalues asked for beyond the Weyl estimate of the count below the cutoff
 _EXTRA_COUNT = 12
-# |alpha - 1| up to which lambda = -mu (as diskmodes' degenerate potential split)
-_ALPHA_DECOUPLED_TOL = 1e-12
 
 
 def _refuse_free_decoupled(params: LameParams, bc: BoundaryCondition) -> None:
@@ -62,7 +60,7 @@ def _refuse_free_decoupled(params: LameParams, bc: BoundaryCondition) -> None:
     u_1 + i u_2 holomorphic: an infinite-dimensional kernel, so the P1 count
     below a fixed cutoff grows without bound under refinement.
     """
-    if bc is BoundaryCondition.FREE and abs(params.alpha - 1.0) <= _ALPHA_DECOUPLED_TOL:
+    if bc is BoundaryCondition.FREE and abs(params.alpha - 1.0) <= ALPHA_DECOUPLED_TOL:
         raise SingularLimitError(
             "traction-free spectrum at lambda = -mu: every displacement with u_1 + i u_2 holomorphic "
             "has zero energy, so the FEM count below a cutoff grows with refinement"
@@ -71,12 +69,12 @@ def _refuse_free_decoupled(params: LameParams, bc: BoundaryCondition) -> None:
 
 def _finish(vals: np.ndarray, bc: BoundaryCondition, lambda_max: float):
     """(values, multiplicities) below lambda_max of ascending FEM values,
-    merged at relative gap 1e-6; traction free, the numerically zero rigid
-    modes are set to 0 and rounding below 0 is clamped."""
+    multiplets merged by ``merge_close``; traction free, the numerically zero
+    rigid modes are set to 0 and rounding below 0 is clamped."""
     if bc is BoundaryCondition.FREE:
-        vals = np.where(np.abs(vals) < 1e-8 * vals.max(initial=1.0), 0.0, vals)
+        vals = np.where(np.abs(vals) < _ZERO_REL * vals.max(initial=1.0), 0.0, vals)
         vals = np.maximum(vals, 0.0)
-    return merge_close(vals[vals < lambda_max], rel_gap=1e-6)
+    return merge_close(vals[vals < lambda_max])
 
 
 def _block_label(sizes) -> str:
@@ -147,7 +145,7 @@ def fem_spectrum(
 
     lambda_max is capped at the discretization trust threshold
     sqrt(lambda)*h <= 0.5; nearby discrete eigenvalues are merged into
-    multiplicities at relative gap 1e-6.  Traction free at lambda = -mu
+    multiplicities (``merge_close``).  Traction free at lambda = -mu
     raises SingularLimitError.
     """
     _refuse_free_decoupled(params, bc)

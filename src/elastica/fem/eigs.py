@@ -64,6 +64,7 @@ import numpy as np
 from ..coeffs import Theory, boundary_coefficient, weyl_a
 from ..errors import ParameterDomainError, SingularLimitError, SolverError
 from ..params import BoundaryCondition, DomainGeometry, LameParams
+from ..spectrum import MULTIPLET_REL_GAP as _GAP_REL
 from .assemble import Operators
 from .symmetry import symmetry_blocks
 
@@ -82,8 +83,6 @@ _EXTRA = 4
 # free, alpha = 1): there the discrete count depends on the mesh, and 12- to
 # 48-ring disks at cutoffs 30-100 show an effective b of 0.6-1.1
 _SINGULAR_B = 1.0
-# neighbours closer than this (relative) are copies of one multiplet
-_GAP_REL = 1e-6
 # values below this share of the largest one are numerically zero (rigid modes)
 _ZERO_REL = 1e-8
 # ARPACK start vectors: a failed attempt retries with the next seed

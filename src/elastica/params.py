@@ -9,6 +9,12 @@ from dataclasses import dataclass, field
 from .errors import ParameterDomainError
 
 
+# |alpha - 1| up to which lambda = -mu: the decoupled case, where the disk's
+# potential split degenerates (p = s) and the traction-free problem has no
+# discrete spectrum
+ALPHA_DECOUPLED_TOL = 1e-12
+
+
 class BoundaryCondition(enum.Enum):
     """Clamped displacement (Dirichlet) or zero traction (Free).
 

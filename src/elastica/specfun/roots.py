@@ -1,46 +1,8 @@
-"""Bracketed root finding: scalar bisection with optional Newton polish, and
-lockstep false position over many brackets."""
+"""Bracketed root finding: lockstep false position over many brackets."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..errors import BracketError
-
-
-def find_root(f, lo: float, hi: float, tol: float = 1e-12, fprime=None, max_iter: int = 200) -> float:
-    """Root of f in [lo, hi]; requires a sign change over the bracket.
-
-    Bisection is the guaranteed fallback; when ``fprime`` is supplied a
-    Newton step is attempted from the bisection midpoint and accepted only
-    while it stays inside the current bracket.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    a, b, fa = lo, hi, flo
-    x = 0.5 * (a + b)
-    for _ in range(max_iter):
-        fx = f(x)
-        if fx == 0.0 or (b - a) <= tol * max(1.0, abs(x)):
-            return x
-        if fa * fx < 0.0:
-            b = x
-        else:
-            a, fa = x, fx
-        x = 0.5 * (a + b)
-        if fprime is not None:
-            fm = f(x)
-            dm = fprime(x)
-            if dm != 0.0:
-                xn = x - fm / dm
-                if a < xn < b:
-                    x = xn
-    return x
 
 
 def refine_brackets(f, a, b, fa, fb, rtol: float):

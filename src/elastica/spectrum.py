@@ -78,8 +78,12 @@ class Spectrum:
         return cum[idx]
 
 
-def merge_close(values: np.ndarray, rel_gap: float = 1e-6):
-    """Group sorted values whose relative gap is <= rel_gap.
+# neighbours closer than this (relative) are copies of one multiplet
+MULTIPLET_REL_GAP = 1e-6
+
+
+def merge_close(values: np.ndarray):
+    """Group sorted values whose relative gap is <= MULTIPLET_REL_GAP.
 
     Returns (representatives, multiplicities); the representative is the
     group mean.  Used to recover exact degeneracies perturbed by
@@ -91,7 +95,7 @@ def merge_close(values: np.ndarray, rel_gap: float = 1e-6):
     reps, mults = [], []
     start = 0
     for i in range(1, values.size + 1):
-        if i == values.size or (values[i] - values[i - 1]) > rel_gap * max(abs(values[i]), 1.0):
+        if i == values.size or (values[i] - values[i - 1]) > MULTIPLET_REL_GAP * max(abs(values[i]), 1.0):
             reps.append(values[start:i].mean())
             mults.append(i - start)
             start = i

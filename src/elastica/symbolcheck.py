@@ -25,15 +25,15 @@ import numpy as np
 from .coeffs import to_heat_coeffs, weyl_two_term, Theory
 from .errors import ParameterDomainError
 from .params import LameParams, check_dimension
-from .specfun import (
-    ContourSpec,
-    QuadratureSpec,
-    contour_integral,
-    gamma_fn,
-    integrate,
-)
+from .specfun import ContourSpec, QuadratureSpec, contour_integral, integrate
 
 _POLE_TOL = 1e-10
+# contour quadrature target of residue_heat
+_CONTOUR_REL_TOL = 1e-10
+# verdict tolerances on the relative gaps: the residue check, and the
+# interior and boundary-layer momentum integrals
+RESIDUE_GAP_TOL = 1e-8
+INTEGRAL_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class GapReport:
     detail: dict = field(default_factory=dict)
 
 
-def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int, rel_tol: float = 1e-10) -> GapReport:
+def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int) -> GapReport:
     """Contour integral of e^{-t tau} * trace_q2 vs its residue closed form.
 
     Closed form: (n-1) e^{-t mu |xi|^2} + e^{-t (2mu+lambda) |xi|^2}.
@@ -120,7 +120,7 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int, rel_tol:
         pt = SymbolPoint(xi_norm2=xi_norm2, tau=tau, params=params, n=n)
         return np.exp(-t * tau) * trace_q2(pt)
 
-    parts = [contour_integral(g, spec, rel_tol=rel_tol) for spec in circles]
+    parts = [contour_integral(g, spec, rel_tol=_CONTOUR_REL_TOL) for spec in circles]
     total = sum(r.value for r in parts)
     converged = all(r.converged for r in parts)
     closed = (n - 1) * math.exp(-t * p1) + math.exp(-t * p2)
@@ -129,7 +129,7 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int, rel_tol:
         value=total.real,
         closed_form=closed,
         rel_gap=gap,
-        passed=converged and gap <= 1e-8,
+        passed=converged and gap <= RESIDUE_GAP_TOL,
         detail={"imag": total.imag, "panels": sum(r.panels for r in parts), "contour_converged": converged},
     )
 
@@ -148,7 +148,7 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
     check_dimension(n)
     mu, lam = params.mu, params.lam
     c1, c2 = mu, 2.0 * mu + lam
-    sphere = 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+    sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     rmax = math.sqrt(50.0 / (t * min(c1, c2)))
 
     def f(r):
@@ -161,7 +161,7 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
         4.0 * math.pi * c2 * t
     ) ** (n / 2.0)
     gap = abs(val - closed) / closed
-    return GapReport(value=val, closed_form=closed, rel_gap=gap, passed=gap <= 1e-9)
+    return GapReport(value=val, closed_form=closed, rel_gap=gap, passed=gap <= INTEGRAL_GAP_TOL)
 
 
 def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = None) -> GapReport:
@@ -203,7 +203,9 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
         detail["tail_shape_bound"] = (
             n * t ** (1.0 - n / 2.0) * math.exp(-eps * eps / (max(c1, c2) * t))
         )
-    return GapReport(value=val, closed_form=closed, rel_gap=gap, passed=gap <= 1e-9, detail=detail)
+    return GapReport(
+        value=val, closed_form=closed, rel_gap=gap, passed=gap <= INTEGRAL_GAP_TOL, detail=detail
+    )
 
 
 @dataclass
@@ -249,8 +251,12 @@ def prop71_verdict(params: LameParams, n: int, residue_gaps, interior_gaps, boun
     coefficients cancel; the Gamma-factor conversion carries that to the
     counting coefficients: d1^- + d1^+ = 0 implies b1^- + b1^+ = 0.
     """
-    ok = max(residue_gaps) <= 1e-8 and max(interior_gaps) <= 1e-9 and max(boundary_gaps) <= 1e-9
-    gb = gamma_fn(1.0 + (n - 1) / 2.0)
+    ok = (
+        max(residue_gaps) <= RESIDUE_GAP_TOL
+        and max(interior_gaps) <= INTEGRAL_GAP_TOL
+        and max(boundary_gaps) <= INTEGRAL_GAP_TOL
+    )
+    gb = math.gamma(1.0 + (n - 1) / 2.0)
     conclusion = (
         "interior expansion carries integer powers t^{l-n/2} only, so the "
         "t^{-(n-1)/2} term of (Z^- + Z^+)/2 vanishes: d1^- + d1^+ = 0, and "

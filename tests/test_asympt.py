@@ -351,13 +351,14 @@ def test_default_heat_window_is_admissible():
 
 
 def _bisected_min_t(sp):
-    """The 46-step bisection of log t on [1e-12, 1e3] that min_admissible_t replaced."""
-    from elastica.asympt import TAIL_FRACTION, _tail_bound, _z_values
-
-    a_coeff = weyl_a(sp.params, 2)
+    """The 46-step bisection of log t on [1e-12, 1e3] of the tail test in
+    floating point, tail(t) <= 1e-6 * Z(t): the reference for min_admissible_t
+    wherever Z does not underflow."""
+    av = weyl_a(sp.params, 2) * sp.domain.volume
 
     def ok(t):
-        return _tail_bound(sp, a_coeff, t) <= TAIL_FRACTION * _z_values(sp, np.array([t]))[0]
+        z = sp.multiplicities @ np.exp(-t * sp.eigenvalues)
+        return 2.0 * av * math.exp(-t * sp.lambda_max) / t <= 1e-6 * z
 
     lo, hi = 1e-12, 1e3
     for _ in range(200):
@@ -383,7 +384,6 @@ def _heat_window_spectra():
             sp = disk_spectrum_potential(LameParams(1.0, lam), bc, k_max=60, lambda_max=250.0)
             yield f"potential({lam}, {bc.value})", sp
     yield "singleton", _spectrum_from_values([1.0], lambda_max=50.0)
-    yield "empty", _spectrum_from_values([], lambda_max=50.0)
 
 
 def test_min_admissible_t_is_heat_traces_threshold():
@@ -409,6 +409,47 @@ def test_min_admissible_t_raises_when_no_t_is_admissible():
     with pytest.raises(TailBoundError) as exc:
         min_admissible_t(sp)
     assert exc.value.t_min == math.inf
+
+
+@pytest.mark.parametrize(
+    "values, lambda_max",
+    [
+        # Z and the tail both underflow at t = 1e3, but their ratio
+        # 2*a*V*1e6*exp(-0.001*t)/t stays above 1 (about 58 there)
+        ([1.0], 1.001),
+        # no eigenvalue, no heat trace
+        ([], 50.0),
+    ],
+    ids=["underflow", "empty"],
+)
+def test_heat_trace_and_min_t_refuse_when_no_t_is_admissible(values, lambda_max):
+    sp = _spectrum_from_values(values, lambda_max=lambda_max)
+    with pytest.raises(TailBoundError) as exc:
+        min_admissible_t(sp)
+    assert exc.value.t_min == math.inf
+    with pytest.raises(TailBoundError) as exc:
+        heat_trace(sp, [1e3])
+    assert exc.value.t_min == math.inf
+
+
+def test_tail_test_survives_underflow():
+    # at t = 1e3, Z = exp(-8e5) underflows to 0, yet the tail is smaller by
+    # exp(-1e5): the log-form test admits t and reports Z = 0
+    sp = _spectrum_from_values([800.0], lambda_max=900.0)
+    ht = heat_trace(sp, [1e3])
+    assert ht.values[0] == 0.0 and ht.tail_bounds[0] == 0.0
+    assert min_admissible_t(sp) < 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_heat_trace_and_grids_refuse_non_finite_points(bad):
+    sp = square_dirichlet_spectrum(1.0, 2e3)
+    with pytest.raises(ParameterDomainError, match="finite"):
+        heat_trace(sp, [1.0, bad])
+    with pytest.raises(ParameterDomainError, match="finite"):
+        remainder_series(sp, [100.0, bad], 0.1)
+    with pytest.raises(ParameterDomainError, match="finite"):
+        counting(sp, [bad])
 
 
 def test_fit_records_only_the_singular_free_coefficient(monkeypatch):

@@ -1,4 +1,4 @@
-"""Bessel J, derivatives, zeros, and gamma against independent oracles."""
+"""Bessel J, derivatives and zeros against independent oracles."""
 
 import math
 
@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from elastica.errors import ParameterDomainError, RangeError
+from elastica.errors import RangeError
 from elastica.specfun import (
     bessel_j,
     bessel_j_prime,
     bessel_j_sequence,
     bessel_zeros,
-    gamma_fn,
 )
 
 mp.mp.dps = 30
@@ -211,29 +210,6 @@ def test_zero_table_raises_without_enough_brackets(monkeypatch):
     monkeypatch.setattr(_backend, "jk_pairs", lambda k, x: (np.ones(np.size(x)), np.ones(np.size(x))))
     with pytest.raises(BracketError):
         bessel_zeros(np.arange(3), 5)
-
-
-def test_gamma_values():
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(2.0) == 1.0
-    assert abs(gamma_fn(1.5) - math.sqrt(math.pi) / 2.0) < 1e-16
-    assert abs(gamma_fn(2.5) - 3.0 * math.sqrt(math.pi) / 4.0) < 1e-15
-
-
-def test_gamma_vs_mpmath_sweep():
-    rng = np.random.default_rng(3)
-    for x in np.concatenate([rng.uniform(0.05, 50.0, 60), np.arange(0.5, 50.0, 0.5)]):
-        ref = float(mp.gamma(float(x)))
-        assert abs(gamma_fn(float(x)) - ref) <= 1e-13 * abs(ref)
-
-
-def test_gamma_domain_errors():
-    with pytest.raises(ParameterDomainError):
-        gamma_fn(0.0)
-    with pytest.raises(ParameterDomainError):
-        gamma_fn(-2.5)
-    with pytest.raises(ParameterDomainError):
-        gamma_fn(51.0)
 
 
 def test_jn_table_batch_equals_points_alone():

@@ -106,6 +106,59 @@ def test_spectrum_analytic_wrong_lambda_exit3(tmp_path, capsys):
     assert "lambda = -mu" in capsys.readouterr().err
 
 
+def test_spectrum_negative_kmax_exit3(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "1", "--bc", "free",
+              "--method", "potential", "--kmax", "-5", "--lambda-max", "50", "--out", str(out)])
+    assert rc == 3
+    assert "k_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "potential", "--lambda-max", "nan"],
+        ["--method", "potential", "--lambda-max", "-5"],
+        ["--method", "analytic", "--lambda-max", "inf"],
+        ["--method", "fem", "--lambda-max", "60", "--h", "nan"],
+        ["--method", "fem", "--lambda-max", "60", "--h", "0"],
+        ["--method", "fem", "--lambda-max", "60", "--h", "-0.1"],
+    ],
+    ids=["lambda_max_nan", "lambda_max_negative", "analytic_lambda_max_inf", "h_nan", "h_zero", "h_negative"],
+)
+def test_spectrum_non_finite_or_non_positive_numbers_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "-1", "--bc", "dirichlet",
+             *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "finite positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, window", [("counting", "nan,1000"), ("heat", "nan,0.01"),
+                                           ("heat", "0.001,inf"), ("counting", "0,1000")])
+def test_fit_non_finite_window_usage_error(tmp_path, capsys, model, window):
+    spath = tmp_path / "sq.csv"
+    write_spectrum(square_dirichlet_spectrum(1.0, 2e3), spath)
+    out = tmp_path / "f.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--spectrum", str(spath), "--model", model, "--window", window, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "finite positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_refuses_nan(tmp_path):
+    from elastica.cli import _write_report
+
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        _write_report(out, "fit", {}, {"estimate": math.nan})
+    assert not out.exists()
+
+
 def test_spectrum_both_adjudication(tmp_path, capsys):
     out = tmp_path / "adj.csv"
     rc = run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "1",

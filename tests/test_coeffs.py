@@ -90,6 +90,21 @@ def test_rayleigh_root_grid_residuals():
         assert 0.0 <= r.w1 < 1.0
 
 
+def test_rayleigh_root_matches_40_digit_root():
+    # Newton from w = 0 climbs to the root: checked against an independent
+    # 40-digit root, from alpha near 0 to alpha within an ulp of 1
+    mp = pytest.importorskip("mpmath")
+    edges = [1e-300, 1e-16, 1e-8, 1 - 1e-8, 1 - 1e-12, 1 - 1e-15, np.nextafter(1.0, 0.0)]
+    alphas = np.concatenate([np.linspace(0.0, 1.0, 241)[1:-1], edges])
+    for alpha in alphas.tolist():
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            cubic = lambda w: w**3 - 8 * w**2 + 8 * (3 - 2 * a) * w + 16 * (a - 1)
+            want = mp.findroot(cubic, (mp.mpf(0), mp.mpf(1)), solver="anderson")
+        r = rayleigh_root(alpha)
+        assert abs(r.w1 - want) <= 2e-15 * want, alpha
+
+
 def test_rayleigh_root_unique_sign_change():
     for alpha in (0.1, 0.33, 0.6, 0.9):
         ws = np.arange(0.0, 1.0 + 1e-12, 1e-3)

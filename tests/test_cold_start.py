@@ -48,3 +48,15 @@ def test_non_fem_commands_load_no_scipy(tmp_path):
     )
     assert _fresh(code, tmp_path) == []
     assert (tmp_path / "fit.json").is_file()
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition was deleted breaks
+    # `from elastica.specfun import *` but no other import
+    import importlib
+
+    for name in ("elastica", "elastica.specfun", "elastica.fem"):
+        module = importlib.import_module(name)
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, (name, missing)
+        assert len(set(module.__all__)) == len(module.__all__), name

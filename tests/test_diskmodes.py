@@ -254,6 +254,21 @@ def test_k_truncation_lowers_validity_cutoff():
     assert sp2.lambda_max == 200.0
 
 
+@pytest.mark.parametrize("k_max", [-5, -1, 61])
+def test_k_max_outside_its_range_is_refused(k_max):
+    # (k_max + 1)^2 in the completeness bound would turn k_max = -5 into a
+    # cutoff of 12.85 on a file holding only the rigid modes
+    with pytest.raises(ParameterDomainError, match="k_max"):
+        disk_spectrum_potential(P11, BC.FREE, k_max=k_max, lambda_max=50.0)
+
+
+def test_k_max_zero_gives_its_own_completeness_cutoff():
+    sp = disk_spectrum_potential(P11, BC.FREE, k_max=0, lambda_max=50.0)
+    w1 = 0.8452994616207485  # Rayleigh root at alpha = 1/3
+    assert sp.lambda_max == pytest.approx(0.95 * w1, rel=1e-12)
+    assert list(sp.eigenvalues) == [0.0] and list(sp.multiplicities) == [3]
+
+
 def test_discriminator_fit_on_potential_spectrum():
     # deep potential spectrum -> heat fit -> distances to both theories are
     # reported; by design no side is asserted

@@ -327,7 +327,7 @@ def test_sparse_decoupled_disk_multiplets():
     # lowest ten are j01^2 twice, then j11^2 and j21^2 four times each
     r = solve_eigs(_sparse_ops(15, PDEC, BC.DIRICHLET), count=10)
     assert r.method == "lanczos"
-    reps, mults = merge_close(r.values, rel_gap=1e-6)
+    reps, mults = merge_close(r.values)
     assert list(mults) == [2, 4, 4]
     exact = np.array([bessel_zeros(0, 1)[0], bessel_zeros(1, 1)[0], bessel_zeros(2, 1)[0]]) ** 2
     assert np.max(np.abs(reps - exact) / exact) < 3e-2
@@ -377,7 +377,7 @@ def test_one_shift_factor_survives_a_failed_arpack_seed(monkeypatch):
     assert len(seeds) == 2 and seeds[0] != seeds[1]  # the retry used the next seed
     # the shift factor, reused by the retry, and the inertia check's factor
     assert len(factors) == 2
-    assert list(merge_close(r.values, rel_gap=1e-6)[1]) == [2, 4, 4]
+    assert list(merge_close(r.values)[1]) == [2, 4, 4]
 
 
 @pytest.mark.parametrize("drops", [1, None])
@@ -404,7 +404,7 @@ def test_inertia_catches_a_dropped_multiplet_copy(monkeypatch, drops):
     else:
         r = solve_eigs(ops, count=10)
         assert len(calls) == 2
-        assert list(merge_close(r.values, rel_gap=1e-6)[1]) == [2, 4, 4]
+        assert list(merge_close(r.values)[1]) == [2, 4, 4]
 
 
 def test_extrapolated_spectrum_short_of_cutoff_raises(monkeypatch):

@@ -87,7 +87,7 @@ def _assert_same_spectrum(got, want):
     scale = np.abs(want).max()
     floor = np.where(np.abs(want) > 1e-8 * scale, np.abs(want), scale)
     assert np.max(np.abs(got - want) / floor) <= 1e-12
-    assert np.array_equal(merge_close(got, 1e-6)[1], merge_close(want, 1e-6)[1])
+    assert np.array_equal(merge_close(got)[1], merge_close(want)[1])
 
 
 @pytest.mark.parametrize("mesh", [unit_disk_mesh(8), unit_square_mesh(8), unit_square_mesh(9)])
@@ -235,7 +235,7 @@ def test_inertia_catches_a_copy_dropped_inside_a_block(monkeypatch, drops):
     assert len(calls) == 5
     # block 0: shift, inertia (fails), shift again, inertia; 2 for each other block
     assert len(factors) == 10
-    reps, mults = merge_close(r.values, rel_gap=1e-6)
+    reps, mults = merge_close(r.values)
     assert list(mults) == [2, 4, 4]
 
 

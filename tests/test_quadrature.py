@@ -1,17 +1,15 @@
-"""Quadrature, root finding, and contour integration."""
+"""Quadrature, lockstep bracket refinement, and contour integration."""
 
 import math
 
 import numpy as np
 import pytest
 
-from elastica.errors import BracketError, ParameterDomainError
+from elastica.errors import ParameterDomainError
 from elastica.specfun import (
     ContourSpec,
     QuadratureSpec,
-    bessel_j,
     contour_integral,
-    find_root,
     integrate,
 )
 
@@ -142,28 +140,6 @@ def test_contour_calls_g_once_per_doubling():
     assert sizes == [8] + [8 * 2**i for i in range(len(sizes) - 1)] and sum(sizes) == r.panels
 
 
-def test_find_root_sqrt2():
-    assert abs(find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-14) - math.sqrt(2.0)) < 1e-13
-
-
-def test_find_root_rayleigh_cubic_unique():
-    alpha = 0.5
-    f = lambda w: w**3 - 8 * w**2 + 8 * (3 - 2 * alpha) * w + 16 * (alpha - 1)
-    # dense scan certifies a single sign change on (0, 1)
-    ws = np.arange(0.0, 1.0 + 1e-9, 1e-3)
-    signs = np.sign([f(w) for w in ws])
-    changes = np.sum(signs[:-1] * signs[1:] < 0)
-    assert changes == 1
-    root = find_root(f, 0.0, 1.0, tol=1e-14)
-    assert abs(f(root)) < 1e-12
-    assert abs(root - 0.7639320225002103) < 1e-12
-
-
-def test_find_root_bessel_zero():
-    root = find_root(lambda x: bessel_j(0, x), 2.0, 3.0, tol=1e-14)
-    assert abs(root - 2.404825557695773) < 1e-12
-
-
 def test_refine_brackets_lockstep():
     # several functions refined together: a smooth root, a flat-sided one on
     # which plain false position stalls, a root at a bracket end and a
@@ -178,11 +154,6 @@ def test_refine_brackets_lockstep():
     roots = refine_brackets(f, a, b, f(a, idx), f(b, idx), 1e-12)
     expect = [math.pi / 2, 0.25 ** (1 / 9), 2.0, 0.3]
     assert np.allclose(roots, expect, rtol=1e-12, atol=0.0)
-
-
-def test_find_root_bracket_error():
-    with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_contour_cauchy():

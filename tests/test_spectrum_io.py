@@ -75,7 +75,7 @@ def test_malformed_files(tmp_path):
 
 def test_merge_close():
     vals = np.array([1.0, 1.0 + 1e-8, 2.0, 2.0 + 1e-3])
-    reps, mults = merge_close(vals, rel_gap=1e-6)
+    reps, mults = merge_close(vals)
     assert list(mults) == [2, 1, 1]
     assert abs(reps[0] - (2.0 + 1e-8) / 2) < 1e-15
 
