@@ -79,16 +79,19 @@ def compare_spectra(
     pair_rtol: float = 5e-3,
     n_samples: int = 60,
 ) -> SpectrumComparison:
-    """Pair eigenvalue lists and tabulate count differences.
+    """Pair eigenvalue lists of one problem and tabulate count differences.
 
-    The comparison stops slightly below the common cutoff (``_EDGE_MARGIN``
-    relative) so an eigenvalue straddling the cutoff in one method only is
-    not misread as a lost mode.  Sample points for the count table are gap
-    midpoints of the union list, which keeps them away from eigenvalues of
-    either method.
+    Spectra of different domains, boundary conditions or Lame parameters
+    are refused.  The comparison stops slightly below the common cutoff
+    (``_EDGE_MARGIN`` relative) so an eigenvalue straddling the cutoff in
+    one method only is not misread as a lost mode.  Sample points for the
+    count table are gap midpoints of the union list, which keeps them away
+    from eigenvalues of either method.
     """
     if spec_a.domain.name != spec_b.domain.name or spec_a.bc != spec_b.bc:
         raise ParameterDomainError("spectra must share domain and boundary condition")
+    if (spec_a.params.mu, spec_a.params.lam) != (spec_b.params.mu, spec_b.params.lam):
+        raise ParameterDomainError("spectra must share the material parameters")
     lam_cut = (1.0 - _EDGE_MARGIN) * min(spec_a.lambda_max, spec_b.lambda_max)
     ea = spec_a.expanded()
     eb = spec_b.expanded()

@@ -29,25 +29,6 @@ _MAX_STEP_HALVINGS = 6
 
 
 @dataclass(frozen=True)
-class WaveNumbers:
-    """Trial eigenvalue with its compressional and shear wavenumbers."""
-
-    lambda_ev: float
-    p: float
-    s: float
-
-    @classmethod
-    def from_eigenvalue(cls, lambda_ev: float, params: LameParams) -> "WaveNumbers":
-        if lambda_ev < 0:
-            raise ParameterDomainError(f"trial eigenvalue must be >= 0, got {lambda_ev}")
-        return cls(
-            lambda_ev=lambda_ev,
-            p=math.sqrt(lambda_ev / params.pressure_speed2),
-            s=math.sqrt(lambda_ev / params.mu),
-        )
-
-
-@dataclass(frozen=True)
 class DiskMode:
     k: int
     family_tag: str  # coupled | compressional_k0 | shear_k0 | rigid
@@ -65,21 +46,6 @@ def _check_alpha(params: LameParams, bc: BoundaryCondition):
         else:
             hint = "use the FEM path or the exact decoupled Bessel spectrum instead"
         raise DegenerateDecompositionError(f"potential split is degenerate at alpha = 1 (p = s); {hint}")
-
-
-def characteristic_det(k: int, lambda_ev: float, params: LameParams, bc: BoundaryCondition) -> float:
-    """Boundary determinant D_k at r = 1 (real normal form).
-
-    Dirichlet: D_k = -p s J_k'(p) J_k'(s) + k^2 J_k(p) J_k(s).
-    Free: the determinant of the (sigma_rr, sigma_rtheta) coefficient matrix
-    expressed through J_k, J_k' at p and s.
-    """
-    if lambda_ev <= 0.0:
-        raise ParameterDomainError(f"trial eigenvalue must be > 0, got {lambda_ev}")
-    _check_alpha(params, bc)
-    fn = _backend.det_free if bc is BoundaryCondition.FREE else _backend.det_dirichlet
-    d, _ = fn(int(k), float(lambda_ev), params.mu, params.lam)
-    return d
 
 
 def _dhat(k, lams, params, bc):
@@ -235,16 +201,14 @@ def _deflated_pair(k, a, b, fa, fb, params, bc):
 
 
 def _k0_family_tags(lams, params, bc):
-    """compressional_k0 / shear_k0 for k = 0 roots: the Bessel factor that vanishes."""
-    p = np.sqrt(lams / params.pressure_speed2)
-    s = np.sqrt(lams / params.mu)
-    t = _backend.jn_table(1, np.concatenate([p, s]))
-    n = p.size
-    if bc is BoundaryCondition.DIRICHLET:
-        comp, shear = np.abs(t[1, :n]), np.abs(t[1, n:])
-    else:
-        comp = np.abs(p * t[0, :n] - 2.0 * params.alpha * t[1, :n])
-        shear = np.abs(s * t[0, n:] - 2.0 * t[1, n:])
+    """compressional_k0 / shear_k0 for k = 0 roots: the factor of the diagonal
+    boundary matrix that vanishes, m11 = -p*J_1(p) or -(p/alpha)*(p*J_0(p) -
+    2*alpha*J_1(p)) and m22 = s*J_1(s) or s*(s*J_0(s) - 2*J_1(s)) (clamped or
+    free), compared without their prefactors -p, -p/alpha and s."""
+    free = bc is BoundaryCondition.FREE
+    m11, _, _, m22, _ = _backend.boundary_matrix(0, lams, params.mu, params.lam, free)
+    comp = np.abs(m11 / np.sqrt(lams / params.pressure_speed2)) * (params.alpha if free else 1.0)
+    shear = np.abs(m22 / np.sqrt(lams / params.mu))
     return np.where(comp < shear, "compressional_k0", "shear_k0")
 
 
@@ -368,26 +332,23 @@ class PdeCheck:
     div_s: float
 
 
-def _mode_amplitudes(k, wn, params, bc):
-    """Nontrivial (A, B) from the boundary matrix null space (complex form)."""
-    (jp, js), (jpp, jsp) = _backend.jk_pairs(k, [wn.p, wn.s])
-    if bc is BoundaryCondition.DIRICHLET:
-        row = (wn.p * jpp, 1j * k * js)
-        alt = (1j * k * jp, -wn.s * jsp)
+def _mode_amplitudes(k, lam_ev, params, bc):
+    """Nontrivial (A, B) from the boundary matrix null space: (i*m12, -m11) of
+    the first row, or (m22, -i*m21) of the second when its entries are larger."""
+    free = bc is BoundaryCondition.FREE
+    m11, m12, m21, m22, _ = (x[0] for x in _backend.boundary_matrix(k, [lam_ev], params.mu, params.lam, free))
+    if max(abs(m11), abs(m12)) >= max(abs(m21), abs(m22)):
+        a_amp, b_amp = 1j * m12, -m11
     else:
-        k2 = float(k * k)
-        row = ((2.0 * k2 - wn.s**2) * jp - 2.0 * wn.p * jpp, 2j * k * (wn.s * jsp - js))
-        alt = (2j * k * (wn.p * jpp - jp), 2.0 * wn.s * jsp + (wn.s**2 - 2.0 * k2) * js)
-    if max(abs(row[0]), abs(row[1])) < max(abs(alt[0]), abs(alt[1])):
-        row = alt
-    if abs(row[0]) == 0.0 and abs(row[1]) == 0.0:
+        a_amp, b_amp = m22, -1j * m21
+    if a_amp == 0.0 and b_amp == 0.0:
         return 1.0 + 0.0j, 1.0 + 0.0j
-    return row[1], -row[0]
+    return a_amp, b_amp
 
 
-def _profiles(k, wn, r):
+def _profiles(k, p, s, r):
     """J_k and J_k' at p*r and s*r over the grid, from one table."""
-    j, jd = _backend.jk_pairs(k, np.concatenate([wn.p * r, wn.s * r]))
+    j, jd = _backend.jk_pairs(k, np.concatenate([p * r, s * r]))
     n = r.size
     return j[:n], jd[:n], j[n:], jd[n:]
 
@@ -421,17 +382,18 @@ def verify_mode_pde(
     if mode.family_tag == "rigid":
         return PdeCheck(0.0, 0.0, 0.0)
     k, lam_ev = mode.k, mode.lambda_ev
-    wn = WaveNumbers.from_eigenvalue(lam_ev, params)
-    a_amp, b_amp = _mode_amplitudes(k, wn, params, bc)
+    p = math.sqrt(lam_ev / params.pressure_speed2)
+    s = math.sqrt(lam_ev / params.mu)
+    a_amp, b_amp = _mode_amplitudes(k, lam_ev, params, bc)
     r = np.linspace(0.05 * r_max, r_max, grid)
     h = r[1] - r[0]
-    jp, jpp, js, jsp = _profiles(k, wn, r)
+    jp, jpp, js, jsp = _profiles(k, p, s, r)
     ik = 1j * k
     # compressional part (grad psi1) and shear part (curl z psi2)
-    urp = a_amp * wn.p * jpp
+    urp = a_amp * p * jpp
     utp = a_amp * ik * jp / r
     urs = b_amp * ik * js / r
-    uts = -b_amp * wn.s * jsp
+    uts = -b_amp * s * jsp
     ur = urp + urs
     ut = utp + uts
     scale = max(np.max(np.abs(ur)), np.max(np.abs(ut)))
@@ -458,9 +420,9 @@ def verify_mode_pde(
     ) / (lam_ev * scale)
 
     curl_p = np.abs(_deriv(r * utp, h, _D1) / r - ik * urp / r)[sl]
-    scale_p = max(np.max(np.abs(urp)), np.max(np.abs(utp)), 1e-300) * max(wn.p, 1.0)
+    scale_p = max(np.max(np.abs(urp)), np.max(np.abs(utp)), 1e-300) * max(p, 1.0)
     div_s = np.abs(_deriv(urs, h, _D1) + urs / r + ik * uts / r)[sl]
-    scale_s = max(np.max(np.abs(urs)), np.max(np.abs(uts)), 1e-300) * max(wn.s, 1.0)
+    scale_s = max(np.max(np.abs(urs)), np.max(np.abs(uts)), 1e-300) * max(s, 1.0)
     return PdeCheck(
         pde_residual=float(resid),
         curl_p=float(np.max(curl_p) / scale_p),

@@ -13,8 +13,8 @@ nmax may differ per argument, and each argument's values depend on nothing
 else in the batch, so a batch gives bit for bit the values of its points
 evaluated alone.
 
-The characteristic determinants of the disk modes are built from these
-tables; they are the hot loop of the spectrum scans.
+The disk boundary matrix and its determinant are built from these tables;
+the determinant is the hot loop of the spectrum scans.
 """
 
 from __future__ import annotations
@@ -215,15 +215,15 @@ def jk_pairs(k, x):
     return jk, jkp
 
 
-def det_grid(k, lams, mu: float, lam: float, free: bool):
-    """Determinant and local scale arrays over a grid of trial eigenvalues.
+def boundary_matrix(k, lams, mu: float, lam: float, free: bool):
+    """Real entries (m11, m12, m21, m22) of the disk boundary matrix
+    [[m11, i*m12], [i*m21, m22]] over a grid of trial eigenvalues L, and a scale.
 
-    ``k`` is one angular order for the whole grid or one order per point.
-    Clamped boundary: D_k = -p*s*J_k'(p)*J_k'(s) + k^2*J_k(p)*J_k(s) with
-    p = sqrt(L/(lam+2mu)), s = sqrt(L/mu); traction-free: the real normal
-    form of the (sigma_rr, sigma_rtheta) determinant.  The scale uses the
-    per-argument envelopes max(|J_k|, |J_k'|), so d/scale stays O(local
-    amplitude) at roots.
+    ``k`` is one angular order for the whole grid or one order per point;
+    p = sqrt(L/(lam+2mu)), s = sqrt(L/mu).  The columns belong to the
+    compressional and shear potentials, the rows to (u_r, u_theta) clamped
+    and to (sigma_rr, sigma_rtheta) free.  The scale uses the envelopes
+    max(|J_k|, |J_k'|), so D/scale stays O(local amplitude) at roots.
     """
     lams = np.asarray(lams, dtype=float)
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), lams.shape)
@@ -234,21 +234,29 @@ def det_grid(k, lams, mu: float, lam: float, free: bool):
     jp, js, jpp, jsp = j[:n], j[n:], jd[:n], jd[n:]
     ap = np.maximum(np.abs(jp), np.abs(jpp))
     as_ = np.maximum(np.abs(js), np.abs(jsp))
-    k2 = (k * k).astype(float)
+    kf = k.astype(float)
+    k2 = kf * kf
     if not free:
-        d = -p * s * jpp * jsp + k2 * jp * js
-        return d, (p * s + k2) * ap * as_ + 1e-300
-    a11 = (2.0 * k2 - s * s) * jp - 2.0 * p * jpp
-    a22 = 2.0 * s * jsp + (s * s - 2.0 * k2) * js
-    c12 = s * jsp - js
-    c21 = p * jpp - jp
-    d = a11 * a22 + 4.0 * k2 * c12 * c21
+        return p * jpp, kf * js, kf * jp, -s * jsp, (p * s + k2) * ap * as_ + 1e-300
     sc = (
         (np.abs(2.0 * k2 - s * s) + 2.0 * p) * ap * (2.0 * s + np.abs(s * s - 2.0 * k2)) * as_
         + 4.0 * k2 * (s + 1.0) * as_ * (p + 1.0) * ap
         + 1e-300
     )
-    return d, sc
+    return (
+        (2.0 * k2 - s * s) * jp - 2.0 * p * jpp,
+        2.0 * kf * (s * jsp - js),
+        2.0 * kf * (p * jpp - jp),
+        2.0 * s * jsp + (s * s - 2.0 * k2) * js,
+        sc,
+    )
+
+
+def det_grid(k, lams, mu: float, lam: float, free: bool):
+    """Determinant D = m11*m22 + m12*m21 of the boundary matrix, and its scale
+    (clamped: D_k = -p*s*J_k'(p)*J_k'(s) + k^2*J_k(p)*J_k(s))."""
+    m11, m12, m21, m22, sc = boundary_matrix(k, lams, mu, lam, free)
+    return m11 * m22 + m12 * m21, sc
 
 
 def det_dirichlet(k: int, lam_ev: float, mu: float, lam: float):

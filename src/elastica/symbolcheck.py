@@ -6,13 +6,15 @@ is supposed to equal:
 * ``trace_q2``: the leading resolvent-symbol trace at a flat point.
 * ``residue_heat``: its contour integral against the two-exponential form.
 * ``interior_coefficient``: the full-space momentum integral against the
-  two-Gaussian heat coefficient.
+  two-Gaussian heat coefficient a~ of ``coeffs.heat_two_term``.
 * ``boundary_layer``: the reflected-kernel normal integral against the
-  quarter-sum of boundary Gaussians, plus the exponentially small
-  truncation tail.
+  quarter-sum of boundary Gaussians, b~+ of ``coeffs.heat_two_term``, plus
+  the exponentially small truncation tail.
 * ``prop71_analytic``: chains the three into the cancellation verdict for
   the averaged Dirichlet/free kernel (``prop71_verdict`` builds it from
   gaps already computed).
+
+So the integral checks test the numbers ``elastica coeffs`` reports.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import to_heat_coeffs, weyl_two_term, Theory
+from .coeffs import Theory, heat_two_term, sum_test
 from .errors import ParameterDomainError
 from .params import LameParams, check_dimension
 from .specfun import ContourSpec, QuadratureSpec, contour_integral, integrate
@@ -36,52 +38,33 @@ RESIDUE_GAP_TOL = 1e-8
 INTEGRAL_GAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SymbolPoint:
-    """Momentum/resolvent evaluation point for the symbol trace.
-
-    ``tau`` is one complex number or an array of them (a contour's points).
-    """
-
-    xi_norm2: float
-    tau: complex
-    params: LameParams
-    n: int
-
-    def __post_init__(self):
-        if self.xi_norm2 < 0:
-            raise ParameterDomainError("xi_norm2 must be >= 0")
-        check_dimension(self.n)
-
-    @property
-    def pole_shear(self) -> float:
-        return self.params.mu * self.xi_norm2
-
-    @property
-    def pole_pressure(self) -> float:
-        return (2.0 * self.params.mu + self.params.lam) * self.xi_norm2
+def _poles(params: LameParams, xi2: float) -> tuple[float, float]:
+    """The symbol's shear and pressure poles mu|xi|^2 and (2mu+lambda)|xi|^2."""
+    return params.mu * xi2, (2.0 * params.mu + params.lam) * xi2
 
 
-def trace_q2(point: SymbolPoint) -> complex | np.ndarray:
+def trace_q2(xi_norm2: float, tau, params: LameParams, n: int) -> complex | np.ndarray:
     """Trace of the leading resolvent symbol at a flat point.
 
     n/(tau - mu|xi|^2) + (mu+lambda)|xi|^2 /
     ((tau - mu|xi|^2)(tau - (2mu+lambda)|xi|^2)), elementwise over an array
-    ``tau``; raises if any tau lies within the pole tolerance.
+    ``tau`` (a contour's points); raises if xi_norm2 < 0, n lies outside
+    the supported dimensions or any tau lies within the pole tolerance.
     """
-    tau = np.asarray(point.tau, dtype=complex)
-    mu, lam, n = point.params.mu, point.params.lam, point.n
-    xi2 = point.xi_norm2
-    scale = np.maximum(np.abs(tau), max(mu * xi2, (2 * mu + lam) * xi2, 1.0))
-    d1 = tau - mu * xi2
-    d2 = tau - (2.0 * mu + lam) * xi2
+    if xi_norm2 < 0:
+        raise ParameterDomainError("xi_norm2 must be >= 0")
+    check_dimension(n)
+    tau = np.asarray(tau, dtype=complex)
+    p1, p2 = _poles(params, xi_norm2)
+    scale = np.maximum(np.abs(tau), max(p1, p2, 1.0))
+    d1, d2 = tau - p1, tau - p2
     near = np.minimum(np.abs(d1), np.abs(d2)) < _POLE_TOL * scale
     if np.any(near):
         raise ParameterDomainError(
             f"tau={complex(tau.flat[np.argmax(near)])} within {_POLE_TOL}*scale of a symbol pole "
-            f"({mu * xi2:g} or {(2 * mu + lam) * xi2:g})"
+            f"({p1:g} or {p2:g})"
         )
-    return n / d1 + (mu + lam) * xi2 / (d1 * d2)
+    return n / d1 + (params.mu + params.lam) * xi_norm2 / (d1 * d2)
 
 
 @dataclass(frozen=True)
@@ -107,9 +90,7 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int) -> GapRe
     if t <= 0:
         raise ParameterDomainError("t must be positive")
     check_dimension(n)
-    mu, lam = params.mu, params.lam
-    p1 = mu * xi_norm2
-    p2 = (2.0 * mu + lam) * xi_norm2
+    p1, p2 = _poles(params, xi_norm2)
     spread = abs(p2 - p1)
     if spread <= 1.0 / t:
         circles = [ContourSpec(center=0.5 * (p1 + p2), radius=1.0 / t)]
@@ -117,8 +98,7 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int) -> GapRe
         circles = [ContourSpec(center=p, radius=min(0.5 * spread, 1.0 / t)) for p in (p1, p2)]
 
     def g(tau):
-        pt = SymbolPoint(xi_norm2=xi_norm2, tau=tau, params=params, n=n)
-        return np.exp(-t * tau) * trace_q2(pt)
+        return np.exp(-t * tau) * trace_q2(xi_norm2, tau, params, n)
 
     parts = [contour_integral(g, spec, rel_tol=_CONTOUR_REL_TOL) for spec in circles]
     total = sum(r.value for r in parts)
@@ -141,13 +121,12 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
     """Radial momentum integral of the two-Gaussian symbol vs the closed form.
 
     (2 pi)^{-n} int ((n-1) e^{-t mu |xi|^2} + e^{-t(2mu+lambda)|xi|^2}) d xi
-    = (n-1)/(4 pi mu t)^{n/2} + 1/(4 pi (2mu+lambda) t)^{n/2}.
+    = a~ t^{-n/2}, with a~ the value ``coeffs.heat_two_term`` reports.
     """
     if t <= 0:
         raise ParameterDomainError("t must be positive")
     check_dimension(n)
-    mu, lam = params.mu, params.lam
-    c1, c2 = mu, 2.0 * mu + lam
+    c1, c2 = _poles(params, 1.0)
     sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     rmax = math.sqrt(50.0 / (t * min(c1, c2)))
 
@@ -157,9 +136,7 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
         )
 
     val = sphere / (2.0 * math.pi) ** n * integrate(f, 0.0, rmax, _QUAD).value
-    closed = (n - 1) / (4.0 * math.pi * c1 * t) ** (n / 2.0) + 1.0 / (
-        4.0 * math.pi * c2 * t
-    ) ** (n / 2.0)
+    closed = heat_two_term(params, n).a_tilde * t ** (-n / 2.0)
     gap = abs(val - closed) / closed
     return GapReport(value=val, closed_form=closed, rel_gap=gap, passed=gap <= INTEGRAL_GAP_TOL)
 
@@ -169,7 +146,8 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
 
     int_0^inf [(n-1)(4 pi mu t)^{-n/2} e^{-(2s)^2/(4 mu t)}
                + (4 pi (2mu+lambda) t)^{-n/2} e^{-(2s)^2/(4(2mu+lambda)t)}] ds
-    = (1/4) [(n-1)(4 pi mu t)^{-(n-1)/2} + (4 pi (2mu+lambda) t)^{-(n-1)/2}].
+    = (1/4) [(n-1)(4 pi mu t)^{-(n-1)/2} + (4 pi (2mu+lambda) t)^{-(n-1)/2}]
+    = b~+ t^{-(n-1)/2}, with b~+ the value ``coeffs.heat_two_term`` reports.
 
     With ``eps`` the truncated tail int_eps^inf is also evaluated and its
     ratio to the full value reported (it is exponentially small in 1/t).
@@ -177,8 +155,7 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
     if t <= 0:
         raise ParameterDomainError("t must be positive")
     check_dimension(n)
-    mu, lam = params.mu, params.lam
-    c1, c2 = mu, 2.0 * mu + lam
+    c1, c2 = _poles(params, 1.0)
 
     def f(s):
         return (n - 1) / (4.0 * math.pi * c1 * t) ** (n / 2.0) * np.exp(
@@ -189,10 +166,7 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
 
     smax = math.sqrt(50.0 * t * max(c1, c2))
     val = integrate(f, 0.0, smax, _QUAD).value
-    closed = 0.25 * (
-        (n - 1) / (4.0 * math.pi * c1 * t) ** ((n - 1) / 2.0)
-        + 1.0 / (4.0 * math.pi * c2 * t) ** ((n - 1) / 2.0)
-    )
+    closed = heat_two_term(params, n).b_tilde_plus * t ** (-(n - 1) / 2.0)
     gap = abs(val - closed) / closed
     detail = {}
     if eps is not None:
@@ -275,8 +249,6 @@ def prop71_verdict(params: LameParams, n: int, residue_gaps, interior_gaps, boun
 
 def remark72_contrast(params: LameParams, n: int) -> dict:
     """The documented contradiction: counting-theory b^- + b^+ vs the cancellation."""
-    from .coeffs import sum_test
-
     cflv = sum_test(params, n, Theory.CFLV)
     verdict = prop71_analytic(params, n)
     return {

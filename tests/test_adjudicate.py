@@ -1,8 +1,13 @@
-"""Spectrum comparison: the sample-point guard against its dense definition."""
+"""Spectrum comparison: the sample-point guard against its dense definition, and the
+refusal of spectra of different problems."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 
 from elastica.adjudicate import _nearest_distance, compare_spectra
+from elastica.errors import ParameterDomainError
 from elastica.params import BoundaryCondition as BC
 from elastica.params import LameParams, UNIT_DISK
 from elastica.spectrum import Method, Spectrum
@@ -42,3 +47,13 @@ def test_compare_spectra_samples_match_dense_guard():
         guard = _dense_distance(cand, np.concatenate([ea, eb]))
         mids = cand[guard > 2.0 * cmp_.pair_tol * np.maximum(cand, 1.0)]
         assert np.array_equal(cmp_.sample_lambdas, np.concatenate([mids, [cmp_.lambda_cut]]))
+
+
+def test_compare_spectra_refuses_different_materials():
+    rng = np.random.default_rng(4)
+    a = _random_spectrum(rng, 30, Method.POTENTIAL)
+    b = _random_spectrum(rng, 30, Method.FEM)
+    compare_spectra(a, b)
+    for params in (LameParams(1.0, 3.0), LameParams(2.0, 1.0)):
+        with pytest.raises(ParameterDomainError, match="material"):
+            compare_spectra(a, dataclasses.replace(b, params=params))

@@ -44,6 +44,27 @@ def test_coeffs_cflv_alpha1_singular_exit3(capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("dim", ["1", "11"])
+def test_coeffs_unsupported_dimension_exit3_without_report(capsys, tmp_path, dim):
+    path = tmp_path / "r.json"
+    rc = run(["coeffs", "--mu", "1", "--lambda", "1", "--dim", dim, "--json", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and "dimension" in err
+    assert not path.exists()
+
+
+def test_coeffs_boundary_tolerances_are_the_quadrature_target(tmp_path):
+    from elastica.coeffs import _BD_QUAD
+
+    path = tmp_path / "r.json"
+    assert run(["coeffs", "--mu", "1", "--lambda", "1", "--json", str(path)]) == 0
+    outputs = json.loads(path.read_text())["outputs"]
+    for theory in ("cflv", "liu"):
+        for name in ("b_minus", "b_plus", "b_tilde_minus", "b_tilde_plus"):
+            assert outputs[theory][name]["tolerance"] == _BD_QUAD.rel_tol
+
+
 def test_missing_required_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["coeffs", "--lambda", "1"])

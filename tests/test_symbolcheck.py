@@ -8,7 +8,6 @@ import pytest
 from elastica.errors import ParameterDomainError
 from elastica.params import LameParams
 from elastica.symbolcheck import (
-    SymbolPoint,
     boundary_layer,
     interior_coefficient,
     prop71_analytic,
@@ -22,13 +21,11 @@ PDEC = LameParams(1.0, -1.0)
 
 
 def test_trace_xi_zero():
-    pt = SymbolPoint(xi_norm2=0.0, tau=2.0 + 1.0j, params=P11, n=3)
-    assert abs(trace_q2(pt) - 3.0 / (2.0 + 1.0j)) < 1e-15
+    assert abs(trace_q2(0.0, 2.0 + 1.0j, P11, 3) - 3.0 / (2.0 + 1.0j)) < 1e-15
 
 
 def test_trace_decoupled():
-    pt = SymbolPoint(xi_norm2=4.0, tau=9.0 + 0.5j, params=PDEC, n=2)
-    assert abs(trace_q2(pt) - 2.0 / (9.0 + 0.5j - 4.0)) < 1e-15
+    assert abs(trace_q2(4.0, 9.0 + 0.5j, PDEC, 2) - 2.0 / (9.0 + 0.5j - 4.0)) < 1e-15
 
 
 def test_trace_partial_fraction_identity():
@@ -41,27 +38,45 @@ def test_trace_partial_fraction_identity():
         xi2 = float(rng.uniform(0.0, 9.0))
         tau = complex(rng.uniform(-6, 6), rng.uniform(0.2, 6))
         params = LameParams(mu, lam)
-        pt = SymbolPoint(xi_norm2=xi2, tau=tau, params=params, n=n)
         d1 = tau - mu * xi2
         d2 = tau - (2 * mu + lam) * xi2
         alt = (n - 1) / d1 + 1.0 / d2
-        val = trace_q2(pt)
+        val = trace_q2(xi2, tau, params, n)
         assert abs(val - alt) <= 1e-12 * max(abs(val), 1.0)
 
 
 def test_trace_pole_error():
     with pytest.raises(ParameterDomainError):
-        trace_q2(SymbolPoint(xi_norm2=1.0, tau=1.0 + 0.0j, params=P11, n=2))
+        trace_q2(1.0, 1.0 + 0.0j, P11, 2)
 
 
 def test_trace_array_matches_points_and_raises_on_a_pole():
     taus = np.array([2.0 + 1.0j, -3.0 + 0.5j, 7.5 - 2.0j, 4.0 + 0.0j])
-    vals = trace_q2(SymbolPoint(xi_norm2=1.5, tau=taus, params=P11, n=3))
+    vals = trace_q2(1.5, taus, P11, 3)
     for tau, val in zip(taus, vals):
-        assert val == trace_q2(SymbolPoint(xi_norm2=1.5, tau=complex(tau), params=P11, n=3))
+        assert val == trace_q2(1.5, complex(tau), P11, 3)
     # the pressure pole (2 mu + lambda)|xi|^2 = 4.5 in the middle of the array
     with pytest.raises(ParameterDomainError, match="tau=\\(4.5"):
-        trace_q2(SymbolPoint(xi_norm2=1.5, tau=np.array([1.0j, 4.5 + 0.0j, 2.0 + 1.0j]), params=P11, n=3))
+        trace_q2(1.5, np.array([1.0j, 4.5 + 0.0j, 2.0 + 1.0j]), P11, 3)
+
+
+@pytest.mark.parametrize("xi2, n", [(-1e-9, 2), (1.0, 1), (1.0, 11)])
+def test_trace_and_residue_refuse_negative_xi2_and_unsupported_dimensions(xi2, n):
+    with pytest.raises(ParameterDomainError):
+        trace_q2(xi2, 2.0 + 1.0j, P11, n)
+    with pytest.raises(ParameterDomainError):
+        residue_heat(0.5, xi2, P11, n)
+
+
+def test_integral_checks_compare_with_the_reported_heat_coefficients():
+    # interior and boundary-layer closed forms are a~ t^{-n/2} and b~+ t^{-(n-1)/2}
+    # of coeffs.heat_two_term, the numbers ``elastica coeffs`` reports
+    from elastica.coeffs import heat_two_term
+
+    for params, n, t in [(P11, 2, 0.1), (LameParams(0.5, 10.0), 3, 1.0), (PDEC, 5, 0.01)]:
+        h = heat_two_term(params, n)
+        assert interior_coefficient(t, params, n).closed_form == h.a_tilde * t ** (-n / 2.0)
+        assert boundary_layer(t, params, n).closed_form == h.b_tilde_plus * t ** (-(n - 1) / 2.0)
 
 
 def test_residue_xi_zero_gives_n():
