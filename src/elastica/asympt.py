@@ -186,14 +186,18 @@ def heat_trace(spectrum: Spectrum, t_grid) -> HeatTrace:
     return HeatTrace(t=t, values=z, tail_bounds=_tail_bound(spectrum, a_coeff, t))
 
 
-def _heat_window(t0: float) -> np.ndarray:
-    """Log-spaced t window [t0, 10*t0] of 24 points."""
-    return np.geomspace(t0, 10.0 * t0, 24)
+def fit_window(model: str, lo: float, hi: float) -> np.ndarray:
+    """The fit samples on [lo, hi]: 24 log-spaced t (heat) or 64 evenly spaced lambda (counting)."""
+    if model == "heat":
+        return np.geomspace(lo, hi, 24)
+    return np.linspace(lo, hi, 64)
 
 
-def default_heat_window(spectrum: Spectrum) -> np.ndarray:
-    """The heat window from the smallest admissible t: the deepest admissible regime."""
-    return _heat_window(min_admissible_t(spectrum))
+def default_heat_window(*spectra: Spectrum) -> np.ndarray:
+    """The heat window [t0, 10*t0] from the smallest t admissible for every
+    given spectrum: the deepest admissible regime."""
+    t0 = max(min_admissible_t(sp) for sp in spectra)
+    return fit_window("heat", t0, 10.0 * t0)
 
 
 @dataclass
@@ -255,8 +259,7 @@ def fit_two_term(spectrum: Spectrum, model: str, window=None) -> FitReport:
         window_out = (float(t.min()), float(t.max()))
     elif model == "counting":
         if window is None:
-            hi = spectrum.lambda_max
-            window = np.linspace(0.5 * hi, hi, 64)
+            window = fit_window(model, 0.5 * spectrum.lambda_max, spectrum.lambda_max)
         lam = np.asarray(window, dtype=float)
         if lam.size < 8:
             raise WindowError("need >= 8 samples in the fit window")
@@ -305,6 +308,16 @@ def fit_two_term(spectrum: Spectrum, model: str, window=None) -> FitReport:
     )
 
 
+def shifted_window(rep: FitReport, spectrum: Spectrum) -> np.ndarray:
+    """The window of the stability refit of ``rep``: shifted up by sqrt(10)
+    in t (heat), or by half its width in lambda, capped at the cutoff (counting)."""
+    lo, hi = rep.window
+    if rep.model == "heat":
+        return fit_window(rep.model, lo * math.sqrt(10.0), hi * math.sqrt(10.0))
+    width = hi - lo
+    return fit_window(rep.model, lo + 0.5 * width, min(hi + 0.5 * width, spectrum.lambda_max))
+
+
 def write_remainder_csv(path, rem: RemainderSeries) -> None:
     """Plot-ready columns: lambda, remainder, cesaro_mean."""
     lines = ["lambda,remainder,cesaro_mean"]
@@ -333,16 +346,16 @@ class Prop71Report:
     tolerance: float
 
 
-def prop71_empirical(
-    spec_dirichlet: Spectrum,
-    spec_free: Spectrum,
-    tolerance: float = 0.1,
-) -> Prop71Report:
+# PASS bound of the half-sum test on |b_sum| / |b^-|
+PROP71_TOLERANCE = 0.1
+
+
+def prop71_empirical(spec_dirichlet: Spectrum, spec_free: Spectrum) -> Prop71Report:
     """Fit the boundary term of the half-sum (Z^- + Z^+)/2.
 
     The cancellation prediction is that this term vanishes; PASS when the
-    fitted coefficient is below `tolerance` times the fitted Dirichlet
-    boundary coefficient in magnitude.
+    fitted coefficient is below ``PROP71_TOLERANCE`` times the fitted
+    Dirichlet boundary coefficient in magnitude.
     """
     sd, sf = spec_dirichlet, spec_free
     if sd.domain.name != sf.domain.name:
@@ -351,7 +364,7 @@ def prop71_empirical(
         raise ParameterDomainError("spectra must share the material parameters")
     if abs(sd.lambda_max - sf.lambda_max) > 1e-9 * max(sd.lambda_max, sf.lambda_max):
         raise ParameterDomainError("spectra must share lambda_max")
-    t = _heat_window(max(min_admissible_t(sd), min_admissible_t(sf)))
+    t = default_heat_window(sd, sf)
     zd = heat_trace(sd, t).values
     zf = heat_trace(sf, t).values
     _, c1_sum, *_ = fit_heat_samples(t, 0.5 * (zd + zf))
@@ -362,6 +375,6 @@ def prop71_empirical(
         b_sum_fit=c1_sum,
         b_minus_fit=c1_d,
         ratio=ratio,
-        passed=ratio <= tolerance,
-        tolerance=tolerance,
+        passed=ratio <= PROP71_TOLERANCE,
+        tolerance=PROP71_TOLERANCE,
     )

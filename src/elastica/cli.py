@@ -21,9 +21,11 @@ from . import __version__
 from .adjudicate import compare_spectra
 from .asympt import (
     fit_two_term,
+    fit_window,
     heat_trace,
     min_admissible_t,
     remainder_series,
+    shifted_window,
     write_heat_csv,
     write_remainder_csv,
 )
@@ -44,6 +46,7 @@ from .errors import (
     ElasticaError,
     ParameterDomainError,
     SingularLimitError,
+    SolverError,
     TailBoundError,
     WindowError,
 )
@@ -196,7 +199,7 @@ def cmd_spectrum(parser, args) -> int:
         print(f"wrote {out} ({sp.total_count} eigenvalues with multiplicity, "
               f"cutoff {sp.lambda_max:g})")
         return 0
-    except (DegenerateDecompositionError, SingularLimitError, ParameterDomainError) as exc:
+    except (DegenerateDecompositionError, SingularLimitError, ParameterDomainError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -213,21 +216,11 @@ def cmd_fit(parser, args) -> int:
             lo, hi = (_positive_float(x) for x in args.window.split(","))
         except (ValueError, argparse.ArgumentTypeError):
             parser.error("--window expects 'lo,hi', two finite positive numbers")
-        if args.model == "heat":
-            window = np.geomspace(lo, hi, 24)
-        else:
-            window = np.linspace(lo, hi, 64)
+        window = fit_window(args.model, lo, hi)
     try:
         rep = fit_two_term(spectrum, args.model, window=window)
         # window-stability indicator: same fit on a shifted window
-        if args.model == "heat":
-            lo, hi = rep.window
-            shift = np.geomspace(lo * math.sqrt(10.0), hi * math.sqrt(10.0), 24)
-        else:
-            lo, hi = rep.window
-            width = hi - lo
-            shift = np.linspace(lo + 0.5 * width, min(hi + 0.5 * width, spectrum.lambda_max), 64)
-        rep2 = fit_two_term(spectrum, args.model, window=shift)
+        rep2 = fit_two_term(spectrum, args.model, window=shifted_window(rep, spectrum))
     except (TailBoundError, WindowError, ParameterDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

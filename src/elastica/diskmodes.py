@@ -5,7 +5,8 @@ potentials; per angular index k the admissible eigenvalues are the roots of
 a 2x2 boundary determinant in the trial eigenvalue.  This is the method
 whose completeness the FEM oracle adjudicates, so nothing here presupposes
 the answer: the scan is implemented as published (homogeneous Helmholtz
-potentials) and every found root carries a residual certificate.
+potentials) and every found root carries a residual certificate: a root
+whose determinant residual exceeds ``_RESIDUAL_REL`` is refused, not returned.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDecompositionError, ParameterDomainError
-from .params import ALPHA_DECOUPLED_TOL, BoundaryCondition, LameParams, UNIT_DISK
+from .errors import DegenerateDecompositionError, ParameterDomainError, SolverError
+from .params import ALPHA_DECOUPLED_TOL, BoundaryCondition, LameParams, UNIT_DISK, check_cutoff
 from .coeffs import rayleigh_root
 from .spectrum import Method, Spectrum
 from .specfun import _backend
@@ -26,15 +27,6 @@ _BISECT_REL_TOL = 1e-12
 _RESIDUAL_REL = 1e-9
 _NEAR_DOUBLE_SCALE = 1e-6
 _MAX_STEP_HALVINGS = 6
-
-
-@dataclass(frozen=True)
-class DiskMode:
-    k: int
-    family_tag: str  # coupled | compressional_k0 | shear_k0 | rigid
-    lambda_ev: float
-    multiplicity: int
-    determinant_residual: float
 
 
 def _check_alpha(params: LameParams, bc: BoundaryCondition):
@@ -212,7 +204,7 @@ def _k0_family_tags(lams, params, bc):
     return np.where(comp < shear, "compressional_k0", "shear_k0")
 
 
-def _active_k_max(params, bc, lambda_max, k_max):
+def _active_k_max(params, lambda_max, k_max):
     """Angular modes that can contribute below the cutoff, and the cutoff
     below which the k-truncated union is certainly complete.
 
@@ -228,40 +220,43 @@ def _active_k_max(params, bc, lambda_max, k_max):
     return k_cap, min(lambda_max, complete_below)
 
 
-def disk_modes_potential(
+def disk_spectrum_potential(
     params: LameParams,
     bc: BoundaryCondition,
     k_max: int = 60,
     lambda_max: float = 1e4,
-) -> list[DiskMode]:
-    """All determinant roots up to the completeness cutoff, as tagged modes.
+) -> Spectrum:
+    """Potential-method Spectrum of the unit disk: every determinant root up
+    to the completeness cutoff, ascending, tagged ``k<k>_<family>``, with
+    multiplicity 1 at k = 0 and 2 (the pair +-k) otherwise; free spectra
+    start with the three rigid-motion zero modes (``k0_rigid``).
 
     Every angular mode is scanned twice (the verification pass halves the
     step) and keeps halving, up to six times, until its root count is
-    stable; each pass scans all still-unsettled modes at once.  Only the
-    accepted pass of each mode is refined, all its brackets in lockstep.
-    Free spectra include the three rigid-motion zero modes.  When the
-    requested lambda_max would need angular modes beyond k_max, the scan
-    cutoff drops to the bound below which the truncated union is provably
-    complete.
+    stable; only the accepted pass of each mode is refined, all brackets in
+    lockstep.  A root whose |D/scale| exceeds ``_RESIDUAL_REL`` has no
+    certificate: SolverError, and no spectrum.  When lambda_max would need
+    modes beyond k_max, the cutoff drops to the bound below which the
+    truncated union is provably complete.
     """
     _check_alpha(params, bc)
+    check_cutoff(lambda_max)
     if not 0 <= k_max <= 60:
         raise ParameterDomainError(f"k_max must lie in [0, 60], got {k_max}")
     if lambda_max > 1e5:
         raise ParameterDomainError(f"lambda_max capped at 1e5, got {lambda_max}")
-    k_cap, lambda_max = _active_k_max(params, bc, lambda_max, k_max)
+    k_cap, cutoff = _active_k_max(params, lambda_max, k_max)
     pending = np.arange(k_cap + 1)
-    pending = pending[_scan_floor(pending, params) < lambda_max]
+    pending = pending[_scan_floor(pending, params) < cutoff]
 
     # (k, lo, hi, flo, fhi) of the accepted pass of every mode
     accepted = [(np.empty(0, dtype=np.int64),) + (np.empty(0),) * 4]
     if pending.size:
-        counts = _scan_angular_mode(pending, params, bc, lambda_max, halvings=0).counts
+        counts = _scan_angular_mode(pending, params, bc, cutoff, halvings=0).counts
     for h in range(1, _MAX_STEP_HALVINGS + 1):
         if not pending.size:
             break
-        cur = _scan_angular_mode(pending, params, bc, lambda_max, halvings=h)
+        cur = _scan_angular_mode(pending, params, bc, cutoff, halvings=h)
         settled = (cur.counts == counts) | (h == _MAX_STEP_HALVINGS)
         accepted.append(cur.brackets_of(pending[settled]))
         pending, counts = pending[~settled], cur.counts[~settled]
@@ -269,52 +264,21 @@ def disk_modes_potential(
     kk, lo, hi, flo, fhi = (np.concatenate(col) for col in zip(*accepted))
     roots = refine_brackets(lambda x, i: _dhat(kk[i], x, params, bc), lo, hi, flo, fhi, _BISECT_REL_TOL)
     resid = np.abs(_dhat(kk, roots, params, bc))
-    order = np.lexsort((roots, kk))
-    kk, roots, resid = kk[order], roots[order], resid[order]
-    tags = np.full(roots.size, "coupled", dtype=object)
-    tags[kk == 0] = _k0_family_tags(roots[kk == 0], params, bc)
-
-    modes = []
+    bad = np.flatnonzero(~(resid <= _RESIDUAL_REL))  # a NaN residual certifies nothing
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"root {roots[i]!r} of angular mode k = {kk[i]} has determinant residual "
+                          f"{resid[i]:.3g} > {_RESIDUAL_REL:g} ({bad.size} uncertified)")
+    order = np.lexsort((kk, roots))
+    kk, roots = kk[order], roots[order]
+    family = np.full(roots.size, "coupled", dtype=object)
+    family[kk == 0] = _k0_family_tags(roots[kk == 0], params, bc)
+    tags = [f"k{k}_{f}" for k, f in zip(kk.tolist(), family)]
+    mults = np.where(kk == 0, 1, 2)
     if bc is BoundaryCondition.FREE:
-        modes.append(DiskMode(k=0, family_tag="rigid", lambda_ev=0.0, multiplicity=3, determinant_residual=0.0))
-    for k, lam_ev, res, tag in zip(kk.tolist(), roots.tolist(), resid.tolist(), tags):
-        modes.append(
-            DiskMode(
-                k=k,
-                family_tag=str(tag),
-                lambda_ev=lam_ev,
-                multiplicity=1 if k == 0 else 2,
-                determinant_residual=res,
-            )
-        )
-    modes.sort(key=lambda m: m.lambda_ev)
-    return modes
-
-
-def disk_spectrum_potential(
-    params: LameParams,
-    bc: BoundaryCondition,
-    k_max: int = 60,
-    lambda_max: float = 1e4,
-) -> Spectrum:
-    """Potential-method Spectrum of the unit disk (ascending, with multiplicity).
-
-    The spectrum's validity cutoff is the completeness bound of the
-    k-truncated scan, which may sit below the requested lambda_max.
-    """
-    modes = disk_modes_potential(params, bc, k_max=k_max, lambda_max=lambda_max)
-    _, effective = _active_k_max(params, bc, lambda_max, k_max)
-    return Spectrum(
-        domain=UNIT_DISK,
-        bc=bc,
-        params=params,
-        eigenvalues=np.array([m.lambda_ev for m in modes]),
-        multiplicities=np.array([m.multiplicity for m in modes], dtype=int),
-        mode_tags=[f"k{m.k}_{m.family_tag}" for m in modes],
-        lambda_max=effective,
-        method=Method.POTENTIAL,
-        meta={"k_max": str(k_max)},
-    )
+        roots, mults, tags = np.append(0.0, roots), np.append(3, mults), ["k0_rigid"] + tags
+    return Spectrum(domain=UNIT_DISK, bc=bc, params=params, eigenvalues=roots, multiplicities=mults,
+                    mode_tags=tags, lambda_max=cutoff, method=Method.POTENTIAL, meta={"k_max": str(k_max)})
 
 
 @dataclass(frozen=True)
@@ -367,7 +331,8 @@ def _deriv(f, h, coeffs):
 
 
 def verify_mode_pde(
-    mode: DiskMode,
+    k: int,
+    lam_ev: float,
     params: LameParams,
     bc: BoundaryCondition = BoundaryCondition.DIRICHLET,
     grid: int = 2048,
@@ -378,10 +343,11 @@ def verify_mode_pde(
     The angular dependence e^{i k theta} is analytic, so the operator reduces
     to radial derivatives, taken with 6th-order central stencils on
     [0.05*r_max, r_max]; edges of the stencil are excluded from the max.
+    The mode is given by its angular order k and eigenvalue lam_ev; lam_ev = 0
+    is a rigid motion, which the check passes trivially.
     """
-    if mode.family_tag == "rigid":
+    if lam_ev == 0.0:
         return PdeCheck(0.0, 0.0, 0.0)
-    k, lam_ev = mode.k, mode.lambda_ev
     p = math.sqrt(lam_ev / params.pressure_speed2)
     s = math.sqrt(lam_ev / params.mu)
     a_amp, b_amp = _mode_amplitudes(k, lam_ev, params, bc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularLimitError, SolverError
-from ..params import ALPHA_DECOUPLED_TOL, BoundaryCondition, DomainGeometry, LameParams
+from ..params import ALPHA_DECOUPLED_TOL, BoundaryCondition, DomainGeometry, LameParams, check_cutoff
 from ..spectrum import Method, Spectrum, merge_close
 from .analytic import (
     analytic_decoupled_spectrum,
@@ -98,6 +98,7 @@ def fem_extrapolated_spectrum(
     the cutoff, raises SolverError rather than label a truncated spectrum
     complete.  Traction free at lambda = -mu raises SingularLimitError.
     """
+    check_cutoff(lambda_max)
     _refuse_free_decoupled(params, bc)
     count = int(1.15 * weyl_count_estimate(params, domain, lambda_max, bc)) + _EXTRA_COUNT
     if bc is BoundaryCondition.FREE:
@@ -148,6 +149,7 @@ def fem_spectrum(
     multiplicities (``merge_close``).  Traction free at lambda = -mu
     raises SingularLimitError.
     """
+    check_cutoff(lambda_max)
     _refuse_free_decoupled(params, bc)
     mesh = build_mesh(domain, resolution)
     trust = (0.5 / mesh.h) ** 2

@@ -15,13 +15,14 @@ import math
 import numpy as np
 
 from ..errors import ParameterDomainError
-from ..params import BoundaryCondition, DomainGeometry, DomainName, LameParams, UNIT_DISK, UNIT_SQUARE
+from ..params import BoundaryCondition, DomainGeometry, DomainName, LameParams, UNIT_DISK, UNIT_SQUARE, check_cutoff
 from ..specfun import bessel_zeros
 from ..spectrum import Method, Spectrum
 
 
 def _square_lattice(mu, lambda_max, include_zero):
     """mu*pi^2*(p^2+q^2) with each component doubled; p,q >= 1 or >= 0."""
+    check_cutoff(lambda_max)
     nmax = int(math.sqrt(lambda_max / (mu * math.pi**2))) + 1
     p = np.arange(0 if include_zero else 1, nmax + 1)
     s = (p[:, None] ** 2 + p**2).ravel()
@@ -65,6 +66,7 @@ def disk_dirichlet_spectrum(mu: float, lambda_max: float) -> Spectrum:
     jmax = sqrt(lambda_max/mu), with the cutoff jmax: only the zeros kept are
     made, each bit for bit the one the count form would give.
     """
+    check_cutoff(lambda_max)
     jmax = math.sqrt(lambda_max / mu)
     # j_{k,1} > k + 1.8557*k^(1/3) (Qu & Wong 1999), so no other order has a zero below jmax
     ks = np.arange(int(jmax) + 1)

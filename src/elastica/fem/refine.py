@@ -57,32 +57,27 @@ def refine_and_extrapolate(
         hs.append(mesh.h)
         ops = assemble(mesh, params, bc)
         sol = solve_eigs(ops, count)
-        levels.append(np.sort(sol.values)[:count])
+        levels.append(sol.values)  # count mode: exactly count values, ascending
         blocks.append(sol.block_sizes)
     raw = np.vstack(levels)
 
     e1, e2, e3 = raw[-3], raw[-2], raw[-1]
     d12, d23 = e1 - e2, e2 - e3
-    extrapolated = np.empty(count)
+    # extrapolate where convergence is monotone and not yet complete; the rest
+    # keep e3, and the non-monotone ones (corner-singularity suspects) are flagged
+    fit = (d12 * d23 > 0) & (np.abs(d23) >= 1e-14 * np.maximum(np.abs(e3), 1.0))
     order = np.full(count, np.nan)
-    flagged = np.zeros(count, dtype=bool)
-    for i in range(count):
-        if d12[i] * d23[i] <= 0 or abs(d23[i]) < 1e-14 * max(abs(e3[i]), 1.0):
-            # non-monotone (corner-singularity suspect) or already converged
-            extrapolated[i] = e3[i]
-            flagged[i] = d12[i] * d23[i] < 0
-            continue
-        p = math.log(d12[i] / d23[i]) / math.log(r)
-        order[i] = p
-        # e_h = e + C h^p  =>  e = e3 - (e2 - e3)/(r^p - 1)
-        extrapolated[i] = e3[i] - d23[i] / (r**p - 1.0)
+    order[fit] = np.log(d12[fit] / d23[fit]) / math.log(r)
+    extrapolated = e3.copy()
+    # e_h = e + C h^p  =>  e = e3 - (e2 - e3)/(r^p - 1)
+    extrapolated[fit] = e3[fit] - d23[fit] / (r ** order[fit] - 1.0)
     return ExtrapolationResult(
         resolutions=list(resolutions),
         h_values=hs,
         raw=raw,
         extrapolated=extrapolated,
         observed_order=order,
-        flagged=flagged,
+        flagged=d12 * d23 < 0,
         error_estimate=np.abs(extrapolated - raw[-1]),
         rotation_order=mesh.rotation_order,
         block_sizes=blocks,

@@ -54,11 +54,6 @@ class LameParams:
         return self.mu / (self.lam + 2.0 * self.mu)
 
     @property
-    def shear_speed2(self) -> float:
-        """Squared shear wave speed, mu."""
-        return self.mu
-
-    @property
     def pressure_speed2(self) -> float:
         """Squared compressional wave speed, lambda + 2*mu."""
         return self.lam + 2.0 * self.mu
@@ -98,3 +93,9 @@ def check_dimension(n: int) -> int:
     if not isinstance(n, int) or not 2 <= n <= 10:
         raise ParameterDomainError(f"dimension must be an integer in [2, 10], got {n!r}")
     return n
+
+
+def check_cutoff(lambda_max: float) -> None:
+    """Validate a spectrum cutoff: a finite number > 0."""
+    if not (math.isfinite(lambda_max) and lambda_max > 0.0):
+        raise ParameterDomainError(f"lambda_max must be a finite positive number, got {lambda_max!r}")

@@ -194,7 +194,7 @@ def test_criterion_09_prop71_square_halfsum():
     t0 = time.perf_counter()
     sd = square_dirichlet_spectrum(1.0, 1e5)
     sf = square_neumann_lattice_spectrum(1.0, 1e5)
-    rep = prop71_empirical(sd, sf, tolerance=0.1)
+    rep = prop71_empirical(sd, sf)
     ok = rep.passed
     _report(9, "half-sum boundary cancellation (square)", ok,
             f"|b_sum|/|b^-| = {rep.ratio:.3f} <= {rep.tolerance}", t0)

@@ -325,7 +325,7 @@ def test_prop71_disk_fem_exploratory():
     sd, _ = fem_extrapolated_spectrum(UNIT_DISK, p, BC.DIRICHLET, [16, 32, 64], 80.0)
     sf, exf = fem_extrapolated_spectrum(UNIT_DISK, p, BC.FREE, [16, 32, 64], 80.0)
     assert sf.eigenvalues[0] == 0.0 and sf.multiplicities[0] == 3
-    rep = prop71_empirical(sd, sf, tolerance=0.25)
+    rep = prop71_empirical(sd, sf)
     assert rep.window[0] >= min_admissible_t(sd) * (1 - 1e-12)
     assert math.isfinite(rep.b_sum_fit) and math.isfinite(rep.b_minus_fit)
     print(
@@ -340,6 +340,20 @@ def test_prop71_input_validation():
     sf = square_neumann_lattice_spectrum(1.0, 2e4)
     with pytest.raises(ParameterDomainError):
         prop71_empirical(sd, sf)
+
+
+def test_shifted_window_rule():
+    # heat: the window times sqrt(10), 24 log-spaced t; counting: half the
+    # width up, capped at the cutoff, 64 evenly spaced lambda
+    from elastica.asympt import fit_window, shifted_window
+
+    sp = square_dirichlet_spectrum(1.0, 1e4)
+    heat = fit_two_term(sp, "heat", window=fit_window("heat", 0.01, 0.1))
+    lo, hi = 0.01 * math.sqrt(10.0), 0.1 * math.sqrt(10.0)
+    assert np.array_equal(shifted_window(heat, sp), np.geomspace(lo, hi, 24))
+    for (lo, hi), top in (((2e3, 4e3), 5e3), ((5e3, 1e4), 1e4)):
+        rep = fit_two_term(sp, "counting", window=fit_window("counting", lo, hi))
+        assert np.array_equal(shifted_window(rep, sp), np.linspace(lo + 0.5 * (hi - lo), top, 64))
 
 
 def test_default_heat_window_is_admissible():

@@ -127,6 +127,24 @@ def test_spectrum_analytic_wrong_lambda_exit3(tmp_path, capsys):
     assert "lambda = -mu" in capsys.readouterr().err
 
 
+def test_spectrum_uncertified_potential_root_exit3(tmp_path, capsys, monkeypatch):
+    # the potential route refuses a root without a residual certificate; the
+    # command reports it and writes no file
+    from elastica.specfun import _backend
+
+    def step(k, lams, mu, lam, free):
+        lams = np.asarray(lams, dtype=float)
+        return np.where(lams < 20.0, -1.0, 1.0), np.ones_like(lams)
+
+    monkeypatch.setattr(_backend, "det_grid", step)
+    out = tmp_path / "x.csv"
+    rc = run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "1", "--bc", "dirichlet",
+              "--method", "potential", "--lambda-max", "50", "--out", str(out)])
+    assert rc == 3
+    assert "determinant residual" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_negative_kmax_exit3(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "1", "--bc", "free",
@@ -207,6 +225,22 @@ def test_fit_heat_report(tmp_path):
     assert "window_stability" in rep["outputs"]
     assert rep["outputs"]["window_stability"]["relative_shift"] < 0.2
     assert "liu" in rep["outputs"]["discriminator"]
+
+
+@pytest.mark.parametrize("model, window", [("heat", None), ("heat", "0.01,0.1"),
+                                           ("counting", None), ("counting", "600,1200")])
+def test_fit_shifted_window_is_the_library_rule(tmp_path, model, window):
+    from elastica.asympt import fit_two_term, fit_window, shifted_window
+
+    sp = square_dirichlet_spectrum(1.0, 3e3)
+    spath, out = tmp_path / "sq.csv", tmp_path / "fit.json"
+    write_spectrum(sp, spath)
+    argv = ["fit", "--spectrum", str(spath), "--model", model, "--out", str(out)]
+    assert run(argv + (["--window", window] if window else [])) == 0
+    stability = json.loads(out.read_text())["outputs"]["window_stability"]
+    samples = None if window is None else fit_window(model, *(float(x) for x in window.split(",")))
+    shifted = shifted_window(fit_two_term(sp, model, window=samples), sp)
+    assert stability["shifted_window"] == [shifted.min(), shifted.max()]
 
 
 def test_fit_synthetic_planted_file(tmp_path):

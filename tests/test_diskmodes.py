@@ -1,23 +1,33 @@
 """Disk potential-method modes: determinants, scans, and PDE verification."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 import scipy.special as sps
 from scipy.optimize import brentq
 
-from elastica.diskmodes import (
-    disk_modes_potential,
-    disk_spectrum_potential,
-    verify_mode_pde,
-)
-from elastica.errors import DegenerateDecompositionError, ParameterDomainError
+from elastica.diskmodes import disk_spectrum_potential, verify_mode_pde
+from elastica.errors import DegenerateDecompositionError, ParameterDomainError, SolverError
 from elastica.params import BoundaryCondition as BC
 from elastica.params import LameParams
 from elastica.specfun import _backend, bessel_j, bessel_j_prime, bessel_zeros
 
 P11 = LameParams(1.0, 1.0)
+
+Mode = namedtuple("Mode", "k family lam mult")
+
+
+def _modes(params, bc, lambda_max):
+    """(k, family, eigenvalue, multiplicity) of each spectrum entry, k and
+    family read from its tag k<k>_<family>."""
+    sp = disk_spectrum_potential(params, bc, lambda_max=lambda_max)
+    out = []
+    for tag, lam, mult in zip(sp.mode_tags, sp.eigenvalues.tolist(), sp.multiplicities.tolist()):
+        k, family = tag[1:].split("_", 1)
+        out.append(Mode(int(k), family, lam, mult))
+    return out
 
 
 def _wavenumbers(lams, params):
@@ -97,7 +107,7 @@ def test_mode_amplitudes_span_the_boundary_null_space(k, bc):
     # row, so |M v| = |D| and |M v| / |v| <= 2 sigma_min(M)
     from elastica.diskmodes import _mode_amplitudes
 
-    roots = [m.lambda_ev for m in disk_modes_potential(P11, bc, lambda_max=3000.0) if m.k == k]
+    roots = [m.lam for m in _modes(P11, bc, 3000.0) if m.k == k]
     assert len(roots) >= 10
     for lam_ev in roots:
         m11, m12, m21, m22, _ = (x[0] for x in _backend.boundary_matrix(k, [lam_ev], 1.0, 1.0, bc is BC.FREE))
@@ -162,10 +172,10 @@ def test_spectrum_counts_and_tags_are_pinned(case):
 
 
 def test_k0_scan_equals_bessel_zero_families():
-    modes = disk_modes_potential(P11, BC.DIRICHLET, lambda_max=200.0)
+    modes = _modes(P11, BC.DIRICHLET, 200.0)
     z1 = bessel_zeros(1, 10)
-    shear = sorted(m.lambda_ev for m in modes if m.family_tag == "shear_k0")
-    comp = sorted(m.lambda_ev for m in modes if m.family_tag == "compressional_k0")
+    shear = sorted(m.lam for m in modes if m.family == "shear_k0")
+    comp = sorted(m.lam for m in modes if m.family == "compressional_k0")
     expect_shear = [z * z for z in z1 if z * z <= 200.0]
     expect_comp = [3.0 * z * z for z in z1 if 3.0 * z * z <= 200.0]
     assert len(shear) == len(expect_shear)
@@ -193,8 +203,7 @@ def _positive_zeros(f, top):
 
 
 def _k0_roots(params, bc, lambda_max):
-    modes = disk_modes_potential(params, bc, lambda_max=lambda_max)
-    return np.sort([m.lambda_ev for m in modes if m.k == 0 and m.family_tag != "rigid"])
+    return np.sort([m.lam for m in _modes(params, bc, lambda_max) if m.k == 0 and m.family != "rigid"])
 
 
 @pytest.mark.xfail(strict=True, reason=_SCAN_PAIR_DEFECT)
@@ -226,20 +235,31 @@ def test_k0_dirichlet_scan_finds_every_factor_root():
 
 
 def test_smallest_k0_shear_root():
-    modes = disk_modes_potential(P11, BC.DIRICHLET, lambda_max=20.0)
-    shear = [m.lambda_ev for m in modes if m.family_tag == "shear_k0"]
+    shear = [m.lam for m in _modes(P11, BC.DIRICHLET, 20.0) if m.family == "shear_k0"]
     assert abs(min(shear) - bessel_zeros(1, 1)[0] ** 2) < 1e-8 * 14.7
 
 
 def test_residual_certificates():
-    modes = disk_modes_potential(P11, BC.DIRICHLET, lambda_max=300.0)
-    assert all(m.determinant_residual <= 1e-9 for m in modes)
+    modes = _modes(P11, BC.DIRICHLET, 300.0)
+    d, sc = _backend.det_grid(np.array([m.k for m in modes]), np.array([m.lam for m in modes]), 1.0, 1.0, False)
+    assert np.all(np.abs(d / sc) <= 1e-9)
+
+
+def test_uncertified_root_is_refused(monkeypatch):
+    # a determinant that jumps from -1 to +1 at 20 has a bracketed "root" there
+    # whose residual stays 1: no spectrum may carry it
+    def step(k, lams, mu, lam, free):
+        lams = np.asarray(lams, dtype=float)
+        return np.where(lams < 20.0, -1.0, 1.0), np.ones_like(lams)
+
+    monkeypatch.setattr(_backend, "det_grid", step)
+    with pytest.raises(SolverError, match=r"k = 0 has determinant residual 1 > 1e-09"):
+        disk_spectrum_potential(P11, BC.DIRICHLET, lambda_max=50.0)
 
 
 def test_multiplicity_rule():
-    modes = disk_modes_potential(P11, BC.DIRICHLET, lambda_max=100.0)
-    for m in modes:
-        assert m.multiplicity == (1 if m.k == 0 else 2)
+    for m in _modes(P11, BC.DIRICHLET, 100.0):
+        assert m.mult == (1 if m.k == 0 else 2)
 
 
 def test_free_spectrum_rigid_modes():
@@ -265,11 +285,11 @@ def test_counting_monotone_in_lambda_max():
 
 
 def test_verify_mode_pde_k0_families():
-    modes = disk_modes_potential(P11, BC.DIRICHLET, lambda_max=120.0)
-    shear = next(m for m in modes if m.family_tag == "shear_k0")
-    comp = next(m for m in modes if m.family_tag == "compressional_k0")
-    chk_s = verify_mode_pde(shear, P11, BC.DIRICHLET)
-    chk_c = verify_mode_pde(comp, P11, BC.DIRICHLET)
+    modes = _modes(P11, BC.DIRICHLET, 120.0)
+    shear = next(m for m in modes if m.family == "shear_k0")
+    comp = next(m for m in modes if m.family == "compressional_k0")
+    chk_s = verify_mode_pde(shear.k, shear.lam, P11, BC.DIRICHLET)
+    chk_c = verify_mode_pde(comp.k, comp.lam, P11, BC.DIRICHLET)
     assert chk_s.pde_residual <= 1e-6
     assert chk_c.pde_residual <= 1e-6
     assert chk_s.div_s <= 1e-8
@@ -277,9 +297,8 @@ def test_verify_mode_pde_k0_families():
 
 
 def test_verify_mode_pde_coupled():
-    modes = disk_modes_potential(P11, BC.FREE, lambda_max=40.0)
-    coupled = next(m for m in modes if m.family_tag == "coupled")
-    chk = verify_mode_pde(coupled, P11, BC.FREE)
+    coupled = next(m for m in _modes(P11, BC.FREE, 40.0) if m.family == "coupled")
+    chk = verify_mode_pde(coupled.k, coupled.lam, P11, BC.FREE)
     assert chk.pde_residual <= 1e-6
     assert chk.curl_p <= 1e-8
     assert chk.div_s <= 1e-8
@@ -290,7 +309,7 @@ def test_d1_sign_change_between_fem_k1_eigenvalues():
     # each of them
     from elastica.fem import assemble, solve_eigs, unit_disk_mesh
 
-    roots = [m.lambda_ev for m in disk_modes_potential(P11, BC.DIRICHLET, lambda_max=60.0) if m.k == 1]
+    roots = [m.lam for m in _modes(P11, BC.DIRICHLET, 60.0) if m.k == 1]
     ops = assemble(unit_disk_mesh(28), P11, BC.DIRICHLET)
     sol = solve_eigs(ops, lambda_max=60.0)
     fem_k1 = []
@@ -304,10 +323,21 @@ def test_d1_sign_change_between_fem_k1_eigenvalues():
     assert d_between * d_after < 0
 
 
+def test_verify_mode_pde_rigid_case():
+    # lam_ev = 0 is a rigid motion of the free disk: nothing to reconstruct
+    chk = verify_mode_pde(0, 0.0, P11, BC.FREE)
+    assert (chk.pde_residual, chk.curl_p, chk.div_s) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+def test_non_finite_or_non_positive_cutoff_is_refused(bad):
+    with pytest.raises(ParameterDomainError, match="lambda_max must be a finite positive number"):
+        disk_spectrum_potential(P11, BC.DIRICHLET, lambda_max=bad)
+
+
 def test_every_emitted_mode_satisfies_pde():
-    modes = disk_modes_potential(P11, BC.DIRICHLET, lambda_max=80.0)
-    for m in modes:
-        chk = verify_mode_pde(m, P11, BC.DIRICHLET)
+    for m in _modes(P11, BC.DIRICHLET, 80.0):
+        chk = verify_mode_pde(m.k, m.lam, P11, BC.DIRICHLET)
         assert chk.pde_residual <= 1e-5, (m, chk)
 
 
@@ -360,19 +390,9 @@ def test_pde_residual_homogeneity():
     # u(sqrt(2) x) is an eigenfunction of the same operator with 2*Lambda on
     # the shrunk disk; the scan of the scaled problem reproduces the mode and
     # the finite-difference residual stays at the same level
-    modes = disk_modes_potential(P11, BC.DIRICHLET, lambda_max=40.0)
-    m0 = modes[0]
-    from elastica.diskmodes import DiskMode
-
-    scaled = DiskMode(
-        k=m0.k,
-        family_tag=m0.family_tag,
-        lambda_ev=2.0 * m0.lambda_ev,
-        multiplicity=m0.multiplicity,
-        determinant_residual=m0.determinant_residual,
-    )
-    base = verify_mode_pde(m0, P11, BC.DIRICHLET)
-    shrunk = verify_mode_pde(scaled, P11, BC.DIRICHLET, r_max=1.0 / math.sqrt(2.0))
+    m0 = _modes(P11, BC.DIRICHLET, 40.0)[0]
+    base = verify_mode_pde(m0.k, m0.lam, P11, BC.DIRICHLET)
+    shrunk = verify_mode_pde(m0.k, 2.0 * m0.lam, P11, BC.DIRICHLET, r_max=1.0 / math.sqrt(2.0))
     assert shrunk.pde_residual <= 10.0 * max(base.pde_residual, 1e-9)
 
 

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from elastica.errors import MeshError, ParameterDomainError, SingularLimitError, SolverError
 from elastica.fem import (
+    EigResult,
     ExtrapolationResult,
     analytic_decoupled_spectrum,
     assemble,
@@ -174,6 +175,33 @@ def test_refine_and_extrapolate_square():
     assert np.all((r.observed_order[ok] > 1.7) & (r.observed_order[ok] < 2.3))
 
 
+def test_richardson_step_matches_the_per_eigenvalue_rule(monkeypatch):
+    # planted levels: monotone (extrapolated), non-monotone (flagged, kept),
+    # converged to 1e-14 (kept), and a first level pair that does not move (kept)
+    from elastica.fem import refine
+
+    levels = iter([
+        np.array([1.2, 2.0, 3.0 + 4e-14, 4.0, 5.3]),
+        np.array([1.05, 2.1, 3.0 + 2e-14, 4.0, 5.1]),
+        np.array([1.01, 2.05, 3.0, 3.9, 5.02]),
+    ])
+    monkeypatch.setattr(refine, "solve_eigs", lambda ops, count: EigResult(next(levels), None, "dense", (1,)))
+    r = refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [2, 4, 8], 5)
+    e1, e2, e3 = r.raw
+    want, order, flagged = e3.copy(), np.full(5, np.nan), np.zeros(5, dtype=bool)
+    for i in range(5):
+        d12, d23 = e1[i] - e2[i], e2[i] - e3[i]
+        if d12 * d23 <= 0 or abs(d23) < 1e-14 * max(abs(e3[i]), 1.0):
+            flagged[i] = d12 * d23 < 0
+            continue
+        order[i] = math.log(d12 / d23) / math.log(2.0)
+        want[i] = e3[i] - d23 / (2.0 ** order[i] - 1.0)
+    assert list(r.flagged) == list(flagged) == [False, True, False, False, False]
+    np.testing.assert_allclose(r.observed_order, order, rtol=1e-14)
+    np.testing.assert_allclose(r.extrapolated, want, rtol=1e-15)
+    assert not np.isnan(order[[0, 4]]).any() and np.isnan(order[1:4]).all()
+
+
 def test_refine_validation():
     with pytest.raises(ParameterDomainError):
         refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [8, 16], 4)
@@ -277,6 +305,24 @@ def test_disk_analytic_one_zero_call_matches_order_loop(monkeypatch):
             assert np.array_equal(sp.eigenvalues, [e[0] for e in entries])
             assert np.array_equal(sp.multiplicities, [e[1] for e in entries])
             assert list(sp.mode_tags) == [e[2] for e in entries]
+
+
+_CUTOFF_BUILDERS = {
+    "fem_spectrum": lambda lm: fem_spectrum(UNIT_SQUARE, LameParams(1.0, 1.0), BC.DIRICHLET, 4, lm),
+    "fem_extrapolated_spectrum": lambda lm: fem_extrapolated_spectrum(
+        UNIT_SQUARE, LameParams(1.0, 1.0), BC.DIRICHLET, [2, 4, 8], lm),
+    "square_dirichlet_spectrum": lambda lm: square_dirichlet_spectrum(1.0, lm),
+    "square_neumann_lattice_spectrum": lambda lm: square_neumann_lattice_spectrum(1.0, lm),
+    "disk_dirichlet_spectrum": lambda lm: disk_dirichlet_spectrum(1.0, lm),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+@pytest.mark.parametrize("builder", list(_CUTOFF_BUILDERS))
+def test_non_finite_or_non_positive_cutoff_is_refused(builder, bad):
+    # no math-domain, NaN-conversion or overflow error and no sqrt warning first
+    with pytest.raises(ParameterDomainError, match="lambda_max must be a finite positive number"):
+        _CUTOFF_BUILDERS[builder](bad)
 
 
 def test_analytic_unsupported_combo():
