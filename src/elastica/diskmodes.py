@@ -41,9 +41,11 @@ def _check_alpha(params: LameParams, bc: BoundaryCondition):
 
 
 def _dhat(k, lams, params, bc):
-    """Scaled determinants D_k/scale over an array of trial eigenvalues (k per point or one k)."""
-    d, sc = _backend.det_grid(k, lams, params.mu, params.lam, bc is BoundaryCondition.FREE)
-    return d / sc
+    """Scaled determinants D_k/scale and slopes (dD_k/dL)/scale over an array
+    of trial eigenvalues L (k per point or one k); a Newton step on these is
+    one on D_k."""
+    d, dd, sc = _backend.det_grid(k, lams, params.mu, params.lam, bc is BoundaryCondition.FREE)
+    return d / sc, dd / sc
 
 
 def _scan_step(lam, params):
@@ -124,7 +126,7 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
     """
     ks = np.asarray(ks, dtype=np.int64)
     grid, owner = _grids(params, _scan_floor(ks, params), lambda_max, halvings)
-    d, sc = _backend.det_grid(ks[owner], grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
+    d, _, sc = _backend.det_grid(ks[owner], grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
     dhat = d / sc
     alive = sc > 1e-200
     same = owner[:-1] == owner[1:]
@@ -163,7 +165,7 @@ def _deflated_pair(k, a, b, fa, fb, params, bc):
     Returns the dip's root brackets as (lo, hi, flo, fhi) rows, lo == hi for
     a tangent double root located at the |D| minimum.
     """
-    f = lambda lam: float(_dhat(k, [lam], params, bc)[0])
+    f = lambda lam: float(_dhat(k, [lam], params, bc)[0][0])
     # golden-section refine of the |D| minimum
     lo, hi = a, b
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -263,7 +265,7 @@ def disk_spectrum_potential(
 
     kk, lo, hi, flo, fhi = (np.concatenate(col) for col in zip(*accepted))
     roots = refine_brackets(lambda x, i: _dhat(kk[i], x, params, bc), lo, hi, flo, fhi, _BISECT_REL_TOL)
-    resid = np.abs(_dhat(kk, roots, params, bc))
+    resid = np.abs(_dhat(kk, roots, params, bc)[0])
     bad = np.flatnonzero(~(resid <= _RESIDUAL_REL))  # a NaN residual certifies nothing
     if bad.size:
         i = bad[0]

@@ -1,8 +1,9 @@
 """Self-contained special functions and numeric kernels.
 
 Bessel J and derivatives, Bessel zeros, 1-D quadrature with
-endpoint-singular support, lockstep root refinement over many brackets
-(``roots.refine_brackets``), and circle contour quadrature.  Gamma values
+endpoint-singular support, lockstep safeguarded Newton refinement over many
+brackets from values and slopes (``roots.refine_brackets``), and circle
+contour quadrature.  Gamma values
 come from ``math.gamma``: the library needs them only at integers and
 half-integers, where it is exact or within an ulp.  The Bessel/determinant
 kernels are numpy code that works on a whole array of arguments at once

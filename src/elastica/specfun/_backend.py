@@ -13,8 +13,9 @@ nmax may differ per argument, and each argument's values depend on nothing
 else in the batch, so a batch gives bit for bit the values of its points
 evaluated alone.
 
-The disk boundary matrix and its determinant are built from these tables;
-the determinant is the hot loop of the spectrum scans.
+The disk boundary matrix, its determinant and the determinant's derivative
+in the trial eigenvalue are built from these tables; the determinant is the
+hot loop of the spectrum scans, its derivative the slope of root refinement.
 """
 
 from __future__ import annotations
@@ -215,15 +216,14 @@ def jk_pairs(k, x):
     return jk, jkp
 
 
-def boundary_matrix(k, lams, mu: float, lam: float, free: bool):
-    """Real entries (m11, m12, m21, m22) of the disk boundary matrix
-    [[m11, i*m12], [i*m21, m22]] over a grid of trial eigenvalues L, and a scale.
+def _matrix_and_slopes(k, lams, mu: float, lam: float, free: bool):
+    """Entries (m11, m12, m21, m22) of boundary_matrix, 2L times their
+    derivatives in L, and the scale, all from one jk_pairs table.
 
-    ``k`` is one angular order for the whole grid or one order per point;
-    p = sqrt(L/(lam+2mu)), s = sqrt(L/mu).  The columns belong to the
-    compressional and shear potentials, the rows to (u_r, u_theta) clamped
-    and to (sigma_rr, sigma_rtheta) free.  The scale uses the envelopes
-    max(|J_k|, |J_k'|), so D/scale stays O(local amplitude) at roots.
+    With u = z*J_k'(z) at z = p, s, z' = z/(2L) and Bessel's equation
+    z*J_k''(z) = -J_k'(z) - (z - k^2/z)*J_k(z), 2L*dJ_k(z)/dL = u and
+    2L*du/dL = -(z^2 - k^2)*J_k(z).  The scale's envelopes are not smooth in
+    L, so it has no derivative here.
     """
     lams = np.asarray(lams, dtype=float)
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), lams.shape)
@@ -236,36 +236,63 @@ def boundary_matrix(k, lams, mu: float, lam: float, free: bool):
     as_ = np.maximum(np.abs(js), np.abs(jsp))
     kf = k.astype(float)
     k2 = kf * kf
+    up, us = p * jpp, s * jsp
+    dup, dus = -(p * p - k2) * jp, -(s * s - k2) * js
     if not free:
-        return p * jpp, kf * js, kf * jp, -s * jsp, (p * s + k2) * ap * as_ + 1e-300
+        m = (up, kf * js, kf * jp, -s * jsp)
+        return m, (dup, kf * us, kf * up, -dus), (p * s + k2) * ap * as_ + 1e-300
     sc = (
         (np.abs(2.0 * k2 - s * s) + 2.0 * p) * ap * (2.0 * s + np.abs(s * s - 2.0 * k2)) * as_
         + 4.0 * k2 * (s + 1.0) * as_ * (p + 1.0) * ap
         + 1e-300
     )
-    return (
+    m = (
         (2.0 * k2 - s * s) * jp - 2.0 * p * jpp,
         2.0 * kf * (s * jsp - js),
         2.0 * kf * (p * jpp - jp),
         2.0 * s * jsp + (s * s - 2.0 * k2) * js,
-        sc,
     )
+    dm = (
+        2.0 * (p * p - k2 - s * s) * jp + (2.0 * k2 - s * s) * up,
+        2.0 * kf * (dus - us),
+        2.0 * kf * (dup - up),
+        2.0 * k2 * js + (s * s - 2.0 * k2) * us,
+    )
+    return m, dm, sc
+
+
+def boundary_matrix(k, lams, mu: float, lam: float, free: bool):
+    """Real entries (m11, m12, m21, m22) of the disk boundary matrix
+    [[m11, i*m12], [i*m21, m22]] over a grid of trial eigenvalues L, and a scale.
+
+    ``k`` is one angular order for the whole grid or one order per point;
+    p = sqrt(L/(lam+2mu)), s = sqrt(L/mu).  The columns belong to the
+    compressional and shear potentials, the rows to (u_r, u_theta) clamped
+    and to (sigma_rr, sigma_rtheta) free.  The scale uses the envelopes
+    max(|J_k|, |J_k'|), so D/scale stays O(local amplitude) at roots.
+    """
+    m, _, sc = _matrix_and_slopes(k, lams, mu, lam, free)
+    return (*m, sc)
 
 
 def det_grid(k, lams, mu: float, lam: float, free: bool):
-    """Determinant D = m11*m22 + m12*m21 of the boundary matrix, and its scale
-    (clamped: D_k = -p*s*J_k'(p)*J_k'(s) + k^2*J_k(p)*J_k(s))."""
-    m11, m12, m21, m22, sc = boundary_matrix(k, lams, mu, lam, free)
-    return m11 * m22 + m12 * m21, sc
+    """Determinant D = m11*m22 + m12*m21 of the boundary matrix, its derivative
+    dD/dL, and its scale, over trial eigenvalues L
+    (clamped: D_k = -p*s*J_k'(p)*J_k'(s) + k^2*J_k(p)*J_k(s)).  The
+    derivative is NaN or infinite at L = 0."""
+    (m11, m12, m21, m22), (e11, e12, e21, e22), sc = _matrix_and_slopes(k, lams, mu, lam, free)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (e11 * m22 + m11 * e22 + e12 * m21 + m12 * e21) / (2.0 * np.asarray(lams, dtype=float))
+    return m11 * m22 + m12 * m21, slope, sc
 
 
 def det_dirichlet(k: int, lam_ev: float, mu: float, lam: float):
     """Clamped-boundary determinant and its local scale at one trial eigenvalue."""
-    d, sc = det_grid(k, [lam_ev], mu, lam, False)
+    d, _, sc = det_grid(k, [lam_ev], mu, lam, False)
     return float(d[0]), float(sc[0])
 
 
 def det_free(k: int, lam_ev: float, mu: float, lam: float):
     """Traction-free determinant and its local scale at one trial eigenvalue."""
-    d, sc = det_grid(k, [lam_ev], mu, lam, True)
+    d, _, sc = det_grid(k, [lam_ev], mu, lam, True)
     return float(d[0]), float(sc[0])

@@ -45,8 +45,9 @@ def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:
     An array of orders gives one row of m zeros per order.  Every order gets
     a unit-step grid from below its first zero up to (m + k/2)*pi, which lies
     above j_{k,m}; zeros of J_k are more than 3 apart, so each sign change on
-    a grid brackets one zero.  All grids are evaluated in one call, all
-    brackets refined in lockstep and every zero Newton-polished.
+    a grid brackets one zero.  All grids are evaluated in one call, and all
+    brackets are refined in lockstep by safeguarded Newton steps, each step
+    taking J_k and J_k' from one table.
 
     With ``below``, only zeros up to that cutoff are made: each grid also
     stops at its first point at or past the cutoff, and the row entries past
@@ -80,11 +81,10 @@ def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:
     rank = np.arange(cross.size) - (np.cumsum(found) - found)[owner[cross]]
     cross, rank = cross[rank < m], rank[rank < m]
     kz = kk[owner[cross]]
-    jk = lambda x, i: _backend.jk_pairs(kz[i], x)[0]
-    # Newton from 1e-10 relative leaves an error near 1e-20 relative (J''/J' = -1/x at a zero)
-    roots = refine_brackets(jk, x[cross], x[cross + 1], f[cross], f[cross + 1], 1e-10)
-    j, jp = _backend.jk_pairs(kz, roots)
-    roots = roots - j / jp
+    # the last Newton step, at most 1e-10 relative, leaves an error near
+    # 1e-20 relative (J''/J' = -1/x at a zero)
+    roots = refine_brackets(lambda x, i: _backend.jk_pairs(kz[i], x), x[cross], x[cross + 1],
+                            f[cross], f[cross + 1], 1e-10)
     if below is not None:
         roots[roots > below] = math.inf  # the last bracket of a grid may end past the cutoff
     zeros = np.full((kk.size, m), math.inf)

@@ -1,4 +1,4 @@
-"""Bracketed root finding: lockstep false position over many brackets."""
+"""Bracketed root finding: lockstep safeguarded Newton over many brackets."""
 
 from __future__ import annotations
 
@@ -6,43 +6,51 @@ import numpy as np
 
 
 def refine_brackets(f, a, b, fa, fb, rtol: float):
-    """Roots of many brackets at once by Illinois false position.
+    """Roots of many brackets at once by Newton's method, kept inside each bracket.
 
-    ``f(x, i)`` evaluates the function of brackets ``i`` at points ``x``
-    (arrays of equal length); ``fa`` and ``fb`` are its values at the ends,
-    of opposite signs or zero.  A bracket is done when an iterate hits an
-    exact zero or its width is at most ``rtol`` times its midpoint, which is
-    then returned; a bracket of zero width is its own root.  Each iterate
-    keeps rtol/4 of its value away from the end that moved last, so the
-    other end crosses the root once that end is within it; an iterate
-    outside the open bracket, or in a bracket that has not halved in three
-    steps, is replaced by the midpoint (bisection).
+    ``f(x, i)`` returns the values and the slopes (two arrays) of the
+    functions of brackets ``i`` at points ``x``; ``fa`` and ``fb`` are the
+    values at the ends, of opposite signs or zero.  Each bracket starts at
+    the secant point of its ends (its midpoint if that point is not inside)
+    and takes Newton steps; as in Numerical Recipes' ``rtsafe``, it bisects
+    instead whenever a Newton step would leave the bracket or fails to halve
+    the previous step.  A bracket is done when an iterate is an exact zero,
+    when the bracket is at most ``rtol`` times the next iterate wide, or when
+    a Newton step of at most ``rtol`` relative follows another Newton step;
+    the next iterate is then returned unevaluated.  A bracket of zero width
+    is its own root.  A slope that is zero, NaN, of the wrong sign or far too
+    large costs bisections, not accuracy: the halving rule catches the
+    equal tiny steps of a huge slope, and a first Newton step never ends a
+    bracket.  Each bracket's iterates depend on nothing else in the batch.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    root = 0.5 * (a + b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        secant = a - fa * (b - a) / (fb - fa)
+    root = np.where((secant > a) & (secant < b), secant, 0.5 * (a + b))
     root[fa == 0.0] = a[fa == 0.0]
     root[fb == 0.0] = b[fb == 0.0]
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0) & (b - a > rtol * np.abs(root)))
-    moved = np.zeros(a.size, dtype=np.int8)  # end moved by the last step: -1 = a, +1 = b
-    slow = np.zeros(a.size, dtype=int)  # consecutive steps that did not halve the width
+    x = root[live]
+    step = b[live] - a[live]  # the last step taken, of any kind
+    newton = np.zeros(live.size, dtype=bool)  # the last step was Newton's
     for _ in range(200):
         if not live.size:
             break
-        al, bl, fal, fbl, ml = a[live], b[live], fa[live], fb[live], moved[live]
-        x = al - fal * (bl - al) / (fbl - fal)
-        gap = 0.25 * rtol * np.abs(x)
-        x = np.where(ml == -1, np.maximum(x, al + gap), np.where(ml == 1, np.minimum(x, bl - gap), x))
-        x = np.where((slow[live] >= 3) | ~((x > al) & (x < bl)), 0.5 * (al + bl), x)
-        fx = f(x, live)
-        right = np.sign(fx) == np.sign(fal)  # the root lies in [x, b]: move a
-        # Illinois: an end kept twice in a row has its value halved
-        a[live] = np.where(right, x, al)
-        b[live] = np.where(right, bl, x)
-        fa[live] = np.where(right, fx, np.where(ml == 1, 0.5 * fal, fal))
-        fb[live] = np.where(right, np.where(ml == -1, 0.5 * fbl, fbl), fx)
-        moved[live] = np.where(right, -1, 1)
-        width = b[live] - a[live]
-        slow[live] = np.where(width <= 0.5 * (bl - al), 0, slow[live] + 1)
-        root[live] = np.where(fx == 0.0, x, 0.5 * (a[live] + b[live]))
-        live = live[(fx != 0.0) & (width > rtol * np.abs(root[live]))]
+        fx, gx = f(x, live)
+        right = np.sign(fx) == np.sign(fa[live])  # the root lies in [x, b]: move a
+        a[live] = np.where(right, x, a[live])
+        fa[live] = np.where(right, fx, fa[live])
+        b[live] = np.where(right, b[live], x)
+        al, bl = a[live], b[live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx = fx / gx
+        xn = x - dx
+        ok = (xn >= al) & (xn <= bl) & (np.abs(dx) < 0.5 * np.abs(step))
+        xn = np.where(ok, xn, 0.5 * (al + bl))
+        step = np.where(ok, dx, 0.5 * (bl - al))
+        tol = rtol * np.abs(xn)
+        done = (fx == 0.0) | (bl - al <= tol) | (ok & newton & (np.abs(dx) <= tol))
+        root[live] = np.where(fx == 0.0, x, xn)
+        keep = ~done
+        live, x, step, newton = live[keep], xn[keep], step[keep], ok[keep]
     return root

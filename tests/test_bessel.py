@@ -202,6 +202,19 @@ def test_zeros_below_a_cutoff_match_the_count_form():
             bessel_zeros(0, 3, below=cut)
 
 
+def test_disk_zero_table_refines_in_few_table_calls(monkeypatch):
+    # Newton with (J_k, J_k') from one table per step: after the grid, the
+    # zeros of disk_dirichlet_spectrum(1, 800) take at most 5 jk_pairs calls
+    from elastica.fem.analytic import disk_dirichlet_spectrum
+    from elastica.specfun import _backend
+
+    calls = []
+    jk_pairs = _backend.jk_pairs
+    monkeypatch.setattr(_backend, "jk_pairs", lambda k, x: calls.append(np.size(x)) or jk_pairs(k, x))
+    disk_dirichlet_spectrum(1.0, 800.0)
+    assert 2 <= len(calls) <= 1 + 5
+
+
 def test_zero_table_raises_without_enough_brackets(monkeypatch):
     # a J_k without m sign changes below (m + k/2)*pi must not give a short row
     from elastica.errors import BracketError
@@ -242,12 +255,60 @@ def test_det_grid_order_per_point_equals_one_order_at_a_time():
     ks = rng.integers(0, 61, 300)
     lams = rng.uniform(0.01, 3e3, 300)
     for free in (False, True):
-        d, sc = det_grid(ks, lams, 1.0, 1.0, free)
+        d, _, sc = det_grid(ks, lams, 1.0, 1.0, free)
         for k in np.unique(ks):
             sel = ks == k
-            dk, sk = det_grid(int(k), lams[sel], 1.0, 1.0, free)
+            dk, _, sk = det_grid(int(k), lams[sel], 1.0, 1.0, free)
             assert np.all(np.abs(d[sel] - dk) <= 1e-14 * sk)
             assert np.all(np.abs(sc[sel] - sk) <= 1e-14 * sk)
+
+
+def _written_out_det_mp(k, lam_ev, lam, free):
+    """The disk determinant at mu = 1 written out in mpmath, clamped or free."""
+    p, s = mp.sqrt(lam_ev / (lam + 2)), mp.sqrt(lam_ev)
+    jp, jpp = mp.besselj(k, p), mp.besselj(k, p, derivative=1)
+    js, jsp = mp.besselj(k, s), mp.besselj(k, s, derivative=1)
+    if not free:
+        return -p * s * jpp * jsp + k * k * jp * js
+    a11 = (2 * k * k - s * s) * jp - 2 * p * jpp
+    a22 = 2 * s * jsp + (s * s - 2 * k * k) * js
+    return a11 * a22 + 4 * k * k * (s * jsp - js) * (p * jpp - jp)
+
+
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("k", [0, 1, 5, 20, 60])
+def test_det_grid_slope_against_differences_and_mpmath(k, lam, free):
+    # dD/dL from one Bessel table, against a central difference of det_grid and
+    # the mpmath derivative of the written-out determinant; the wavenumbers
+    # reach the series (<= 0.5), Miller and Hankel (>= 25, >= 1.5 (k + 1)) regimes
+    from elastica.specfun._backend import boundary_matrix, det_grid, jk_pairs
+
+    lams = np.array([0.05, 0.2, 3.0, 40.0, 700.0, 5000.0, 3e4])
+    d, slope, sc = det_grid(k, lams, 1.0, lam, free)
+    p, s = np.sqrt(lams / (lam + 2.0)), np.sqrt(lams)
+    # the slope's own size: 2L dm/dL is about (z + k) times the entry m
+    size = sc * (1.0 + k + p + s) / lams
+    ref = np.array([float(mp.diff(lambda x: _written_out_det_mp(k, x, lam, free), mp.mpf(x))) for x in lams])
+    assert np.max(np.abs(slope - ref) / size) <= 1e-13
+    h = 1e-5 * lams
+    central = (det_grid(k, lams + h, 1.0, lam, free)[0] - det_grid(k, lams - h, 1.0, lam, free)[0]) / (2.0 * h)
+    assert np.max(np.abs(slope - central) / size) <= 1e-6
+    # D and the scale are the entries' product and the envelope scale, bit for bit
+    m11, m12, m21, m22, sc2 = boundary_matrix(k, lams, 1.0, lam, free)
+    assert np.array_equal(d, m11 * m22 + m12 * m21) and np.array_equal(sc, sc2)
+    (jp, jpp), (js, jsp) = jk_pairs(k, p), jk_pairs(k, s)
+    ap, as_ = np.maximum(np.abs(jp), np.abs(jpp)), np.maximum(np.abs(js), np.abs(jsp))
+    k2 = float(k * k)
+    if free:
+        envelope = (
+            (np.abs(2.0 * k2 - s * s) + 2.0 * p) * ap * (2.0 * s + np.abs(s * s - 2.0 * k2)) * as_
+            + 4.0 * k2 * (s + 1.0) * as_ * (p + 1.0) * ap
+            + 1e-300
+        )
+    else:
+        envelope = (p * s + k2) * ap * as_ + 1e-300
+    assert np.array_equal(sc, envelope)
 
 
 def test_jk_pairs_chunks_long_arrays():

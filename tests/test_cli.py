@@ -134,7 +134,7 @@ def test_spectrum_uncertified_potential_root_exit3(tmp_path, capsys, monkeypatch
 
     def step(k, lams, mu, lam, free):
         lams = np.asarray(lams, dtype=float)
-        return np.where(lams < 20.0, -1.0, 1.0), np.ones_like(lams)
+        return np.where(lams < 20.0, -1.0, 1.0), np.zeros_like(lams), np.ones_like(lams)
 
     monkeypatch.setattr(_backend, "det_grid", step)
     out = tmp_path / "x.csv"

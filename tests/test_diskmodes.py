@@ -41,7 +41,7 @@ def test_k0_dirichlet_factorizes_into_bessel_products():
     # D_0 = -p*s*J_1(p)*J_1(s) exactly: the k = 0 boundary matrix is diagonal
     for lam in (0.0, 1.0, 3.0):
         params = LameParams(1.0, lam)
-        d, sc = _backend.det_grid(0, _K0_GRID, params.mu, params.lam, False)
+        d, _, sc = _backend.det_grid(0, _K0_GRID, params.mu, params.lam, False)
         p, s = _wavenumbers(_K0_GRID, params)
         product = -p * s * sps.j1(p) * sps.j1(s)
         assert np.max(np.abs(d - product) / sc) <= 1e-13, lam
@@ -52,7 +52,7 @@ def test_k0_free_factorizes():
     for lam in (0.0, 1.0, 3.0):
         params = LameParams(1.0, lam)
         alpha = params.alpha
-        d, sc = _backend.det_grid(0, _K0_GRID, params.mu, params.lam, True)
+        d, _, sc = _backend.det_grid(0, _K0_GRID, params.mu, params.lam, True)
         p, s = _wavenumbers(_K0_GRID, params)
         radial = p * sps.j0(p) - 2.0 * alpha * sps.j1(p)
         torsional = s * sps.j0(s) - 2.0 * sps.j1(s)
@@ -90,7 +90,7 @@ def test_det_grid_equals_the_written_out_determinants(lam, free):
     rng = np.random.default_rng(16)
     k = rng.integers(0, 61, 3000)
     lams = rng.uniform(0.5, 3000.0, 3000)
-    d, sc = _backend.det_grid(k, lams, 1.0, lam, free)
+    d, _, sc = _backend.det_grid(k, lams, 1.0, lam, free)
     ref = _det_formulas_before_boundary_matrix(k, lams, 1.0, lam, free)
     assert np.max(np.abs(d - ref) / sc) <= 1e-15
     assert np.array_equal(np.sign(d), np.sign(ref))
@@ -239,9 +239,32 @@ def test_smallest_k0_shear_root():
     assert abs(min(shear) - bessel_zeros(1, 1)[0] ** 2) < 1e-8 * 14.7
 
 
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 3.0])
+def test_refinement_takes_few_lockstep_determinant_calls(lam, bc, monkeypatch):
+    # the potential_sweep spectra: Newton with dD/dL refines all brackets of a
+    # spectrum in at most 6 lockstep det_grid calls
+    from elastica import diskmodes
+
+    calls = []
+    det_grid, refine = _backend.det_grid, diskmodes.refine_brackets
+    monkeypatch.setattr(_backend, "det_grid", lambda *a: calls.append(np.size(a[1])) or det_grid(*a))
+    during = []
+
+    def counted_refine(*args):
+        before = len(calls)
+        roots = refine(*args)
+        during.append(len(calls) - before)
+        return roots
+
+    monkeypatch.setattr(diskmodes, "refine_brackets", counted_refine)
+    disk_spectrum_potential(LameParams(1.0, lam), bc, lambda_max=250.0)
+    assert len(during) == 1 and 1 <= during[0] <= 6
+
+
 def test_residual_certificates():
     modes = _modes(P11, BC.DIRICHLET, 300.0)
-    d, sc = _backend.det_grid(np.array([m.k for m in modes]), np.array([m.lam for m in modes]), 1.0, 1.0, False)
+    d, _, sc = _backend.det_grid(np.array([m.k for m in modes]), np.array([m.lam for m in modes]), 1.0, 1.0, False)
     assert np.all(np.abs(d / sc) <= 1e-9)
 
 
@@ -250,7 +273,7 @@ def test_uncertified_root_is_refused(monkeypatch):
     # whose residual stays 1: no spectrum may carry it
     def step(k, lams, mu, lam, free):
         lams = np.asarray(lams, dtype=float)
-        return np.where(lams < 20.0, -1.0, 1.0), np.ones_like(lams)
+        return np.where(lams < 20.0, -1.0, 1.0), np.zeros_like(lams), np.ones_like(lams)
 
     monkeypatch.setattr(_backend, "det_grid", step)
     with pytest.raises(SolverError, match=r"k = 0 has determinant residual 1 > 1e-09"):
@@ -408,7 +431,7 @@ def test_scan_pass_resolves_a_tangent_double_root(monkeypatch):
 
     def fake_det_grid(k, lams, mu, lam, free):
         lams = np.asarray(lams, dtype=float)
-        return (lams - r) ** 2, np.ones_like(lams)
+        return (lams - r) ** 2, 2.0 * (lams - r), np.ones_like(lams)
 
     monkeypatch.setattr(_backend, "det_grid", fake_det_grid)
     scan = diskmodes._scan_angular_mode([1], P11, BC.DIRICHLET, 60.0, halvings=0)

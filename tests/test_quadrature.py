@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from elastica.errors import ParameterDomainError
 from elastica.specfun import (
@@ -140,20 +141,87 @@ def test_contour_calls_g_once_per_doubling():
     assert sizes == [8] + [8 * 2**i for i in range(len(sizes) - 1)] and sum(sizes) == r.panels
 
 
-def test_refine_brackets_lockstep():
-    # several functions refined together: a smooth root, a flat-sided one on
-    # which plain false position stalls, a root at a bracket end and a
-    # bracket of zero width
+_REFINE_CASES = (  # (function, slope, a, b)
+    (np.cos, lambda x: -np.sin(x), 1.0, 2.0),  # a smooth root
+    (lambda x: x**9 - 0.25, lambda x: 9.0 * x**8, 0.0, 1.0),  # flat-sided: Newton overshoots from the left
+    (lambda x: x - 2.0, lambda x: np.ones_like(x), 2.0, 3.0),  # a root at a bracket end
+    (np.sin, np.cos, 0.3, 0.3),  # a bracket of zero width
+)
+_REFINE_ROOTS = [math.pi / 2, 0.25 ** (1 / 9), 2.0, 0.3]
+
+
+def _refine_cases(slope_of=None, trace=None):
+    """refine_brackets over _REFINE_CASES; slope_of(true slope) replaces the
+    slopes, and trace collects (bracket, iterate, value) of every evaluation."""
     from elastica.specfun.roots import refine_brackets
 
-    funcs = [np.cos, lambda x: x**9 - 0.25, lambda x: x - 2.0, np.sin]
-    f = lambda x, i: np.array([funcs[j](xj) for xj, j in zip(x, i)])
-    a = np.array([1.0, 0.0, 2.0, 0.3])
-    b = np.array([2.0, 1.0, 3.0, 0.3])
+    def f(x, i):
+        fx = np.array([_REFINE_CASES[j][0](xj) for xj, j in zip(x, i)])
+        gx = np.array([_REFINE_CASES[j][1](xj) for xj, j in zip(x, i)])
+        if trace is not None:
+            trace.append((i.copy(), x.copy(), fx))
+        return fx, gx if slope_of is None else slope_of(gx)
+
+    a = np.array([c[2] for c in _REFINE_CASES])
+    b = np.array([c[3] for c in _REFINE_CASES])
     idx = np.arange(a.size)
-    roots = refine_brackets(f, a, b, f(a, idx), f(b, idx), 1e-12)
-    expect = [math.pi / 2, 0.25 ** (1 / 9), 2.0, 0.3]
-    assert np.allclose(roots, expect, rtol=1e-12, atol=0.0)
+    fa = np.array([c[0](x) for c, x in zip(_REFINE_CASES, a)])
+    fb = np.array([c[0](x) for c, x in zip(_REFINE_CASES, b)])
+    return refine_brackets(f, a, b, fa, fb, 1e-12)
+
+
+def test_refine_brackets_lockstep():
+    # several functions refined together with their slopes, in few lockstep calls
+    trace = []
+    roots = _refine_cases(trace=trace)
+    assert np.allclose(roots, _REFINE_ROOTS, rtol=1e-12, atol=0.0)
+    assert len(trace) <= 12
+
+
+@pytest.mark.parametrize("bad", ["zero", "nan", "wrong_sign", "huge", "inf"])
+def test_refine_brackets_survives_bad_slopes(bad):
+    # a slope that is zero, NaN, of the wrong sign, 1e300 or inf leaves every
+    # iterate inside its bracket, and bisection still converges; the last two
+    # give Newton steps too small to move, which must not end a bracket
+    slope_of = {
+        "zero": np.zeros_like,
+        "nan": lambda g: np.full_like(g, np.nan),
+        "wrong_sign": np.negative,
+        "huge": lambda g: np.full_like(g, 1e300),
+        "inf": lambda g: np.full_like(g, np.inf),
+    }[bad]
+    trace = []
+    roots = _refine_cases(slope_of, trace)
+    assert np.allclose(roots, _REFINE_ROOTS, rtol=1e-12, atol=0.0)
+    lo = np.array([c[2] for c in _REFINE_CASES])
+    hi = np.array([c[3] for c in _REFINE_CASES])
+    sign_lo = np.sign([c[0](c[2]) for c in _REFINE_CASES])
+    for i, x, fx in trace:
+        assert np.all((lo[i] <= x) & (x <= hi[i])), bad
+        right = np.sign(fx) == sign_lo[i]
+        lo[i] = np.where(right, x, lo[i])
+        hi[i] = np.where(right, hi[i], x)
+    assert np.all(lo <= roots) and np.all(roots <= hi)
+
+
+def test_refine_brackets_one_bracket_alone_equals_it_in_a_batch():
+    # a bracket's iterates depend on nothing else in the batch: bessel_zeros(below=)
+    # refines only some of the count form's brackets and must give its zeros bit for bit
+    from elastica.specfun._backend import jk_pairs
+    from elastica.specfun.roots import refine_brackets
+
+    k = np.array([0, 0, 1, 7, 30, 30, 120])
+    m = np.array([1, 2, 1, 3, 1, 2, 4])  # brackets around the zeros j_{k,m}
+    a = np.array([math.floor(sps.jn_zeros(kj, mj)[-1]) for kj, mj in zip(k, m)], dtype=float)
+    b = a + 1.0
+    fa, fb = jk_pairs(k, a)[0], jk_pairs(k, b)[0]
+    assert np.all(fa * fb < 0.0)
+    f = lambda x, i: jk_pairs(k[i], x)
+    batch = refine_brackets(f, a, b, fa, fb, 1e-10)
+    for j in range(k.size):
+        alone = refine_brackets(lambda x, i: jk_pairs(k[j], x), a[j:j + 1], b[j:j + 1],
+                                fa[j:j + 1], fb[j:j + 1], 1e-10)
+        assert np.array_equal(alone, batch[j:j + 1]), j
 
 
 def test_contour_cauchy():
