@@ -12,7 +12,7 @@ is supposed to equal:
   the exponentially small truncation tail.
 * ``prop71_analytic``: chains the three into the cancellation verdict for
   the averaged Dirichlet/free kernel (``prop71_verdict`` builds it from
-  gaps already computed).
+  the GapReports of checks already run).
 
 So the integral checks test the numbers ``elastica coeffs`` reports.
 """
@@ -80,6 +80,9 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int) -> GapRe
     """Contour integral of e^{-t tau} * trace_q2 vs its residue closed form.
 
     Closed form: (n-1) e^{-t mu |xi|^2} + e^{-t (2mu+lambda) |xi|^2}.
+    The gap compares both sides times e^{t p1} (p1 = mu |xi|^2, the smaller
+    pole), so the closed form (n-1) + e^{-t (p2-p1)} >= 1 cannot underflow
+    to 0; ``value`` and ``closed_form`` are reported unscaled.
 
     Each pole gets its own circle of radius min(half the pole gap, 1/t), and
     the circles' integrals are summed; poles less than 1/t apart (coincident
@@ -98,19 +101,21 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int) -> GapRe
         circles = [ContourSpec(center=p, radius=min(0.5 * spread, 1.0 / t)) for p in (p1, p2)]
 
     def g(tau):
-        return np.exp(-t * tau) * trace_q2(xi_norm2, tau, params, n)
+        return np.exp(-t * (tau - p1)) * trace_q2(xi_norm2, tau, params, n)
 
     parts = [contour_integral(g, spec, rel_tol=_CONTOUR_REL_TOL) for spec in circles]
     total = sum(r.value for r in parts)
     converged = all(r.converged for r in parts)
-    closed = (n - 1) * math.exp(-t * p1) + math.exp(-t * p2)
-    gap = abs(total - closed) / abs(closed)
+    closed = (n - 1) + math.exp(-t * (p2 - p1))
+    gap = abs(total - closed) / closed
+    scale = math.exp(-t * p1)
     return GapReport(
-        value=total.real,
-        closed_form=closed,
+        value=total.real * scale,
+        closed_form=closed * scale,
         rel_gap=gap,
         passed=converged and gap <= RESIDUE_GAP_TOL,
-        detail={"imag": total.imag, "panels": sum(r.panels for r in parts), "contour_converged": converged},
+        detail={"imag": total.imag * scale, "panels": sum(r.panels for r in parts),
+                "contour_converged": converged},
     )
 
 
@@ -205,31 +210,26 @@ def prop71_analytic(params: LameParams, n: int) -> Prop71Verdict:
     """Chain the residue, interior, and boundary-layer checks into the verdict.
 
     Runs each check on the standard grids (``STANDARD_T`` x ``STANDARD_XI2``)
-    and hands the gaps to ``prop71_verdict``.
+    and hands the reports to ``prop71_verdict``.
     """
     check_dimension(n)
     return prop71_verdict(
         params,
         n,
-        [residue_heat(t, xi2, params, n).rel_gap for t in STANDARD_T for xi2 in STANDARD_XI2],
-        [interior_coefficient(t, params, n).rel_gap for t in STANDARD_T],
-        [boundary_layer(t, params, n).rel_gap for t in STANDARD_T],
+        [residue_heat(t, xi2, params, n) for t in STANDARD_T for xi2 in STANDARD_XI2],
+        [interior_coefficient(t, params, n) for t in STANDARD_T],
+        [boundary_layer(t, params, n) for t in STANDARD_T],
     )
 
 
-def prop71_verdict(params: LameParams, n: int, residue_gaps, interior_gaps, boundary_gaps) -> Prop71Verdict:
-    """The cancellation verdict from the gaps of checks already run.
+def prop71_verdict(params: LameParams, n: int, residue, interior, boundary) -> Prop71Verdict:
+    """The cancellation verdict from the GapReports of checks already run.
 
-    When every numeric sub-check passes, the averaged Dirichlet/free kernel
-    has no interior-origin t^{-(n-1)/2} term, so the heat half-sum
-    coefficients cancel; the Gamma-factor conversion carries that to the
-    counting coefficients: d1^- + d1^+ = 0 implies b1^- + b1^+ = 0.
+    It passes iff every report passed.  When it does, the averaged
+    Dirichlet/free kernel has no interior-origin t^{-(n-1)/2} term, so the
+    heat half-sum coefficients cancel; the Gamma-factor conversion carries
+    that to the counting coefficients: d1^- + d1^+ = 0 implies b1^- + b1^+ = 0.
     """
-    ok = (
-        max(residue_gaps) <= RESIDUE_GAP_TOL
-        and max(interior_gaps) <= INTEGRAL_GAP_TOL
-        and max(boundary_gaps) <= INTEGRAL_GAP_TOL
-    )
     gb = math.gamma(1.0 + (n - 1) / 2.0)
     conclusion = (
         "interior expansion carries integer powers t^{l-n/2} only, so the "
@@ -239,10 +239,10 @@ def prop71_verdict(params: LameParams, n: int, residue_gaps, interior_gaps, boun
     return Prop71Verdict(
         params=params,
         n=n,
-        residue_gaps=list(residue_gaps),
-        interior_gaps=list(interior_gaps),
-        boundary_gaps=list(boundary_gaps),
-        passed=ok,
+        residue_gaps=[r.rel_gap for r in residue],
+        interior_gaps=[r.rel_gap for r in interior],
+        boundary_gaps=[r.rel_gap for r in boundary],
+        passed=all(r.passed for r in (*residue, *interior, *boundary)),
         conclusion=conclusion,
     )
 

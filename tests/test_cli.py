@@ -301,6 +301,22 @@ def test_fit_bad_or_empty_spectrum_file_exit3(tmp_path, capsys, rows, model):
     assert "error" in capsys.readouterr().err
     assert not out.exists()
 
+def test_fit_counting_without_admissible_t_writes_null(tmp_path, capsys):
+    # a disk below its first eigenvalue: the counting fit runs, but no heat t
+    # passes the tail test, so min_admissible_t is null (strict JSON has no inf)
+    spath = tmp_path / "w.csv"
+    assert run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "1", "--bc", "dirichlet",
+                "--method", "potential", "--lambda-max", "3", "--out", str(spath)]) == 0
+    out = tmp_path / "f.json"
+    assert run(["fit", "--spectrum", str(spath), "--model", "counting", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outputs"]["min_admissible_t"] is None
+    # the heat model needs an admissible t and keeps its exit 3
+    heat = tmp_path / "h.json"
+    assert run(["fit", "--spectrum", str(spath), "--model", "heat", "--out", str(heat)]) == 3
+    assert not heat.exists()
+    capsys.readouterr()
+
+
 def test_verify_all_pass(tmp_path, capsys):
     out = tmp_path / "v.json"
     rc = run(["verify", "--suite", "all", "--mu", "1", "--lambda", "1", "--dim", "2",
@@ -371,6 +387,36 @@ def test_verify_failure_exit1(monkeypatch, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "residue: FAIL" in out
+
+
+@pytest.mark.parametrize("suite", ["residue", "all"])
+def test_verify_reads_the_checks_verdict_not_their_gap(monkeypatch, capsys, suite):
+    # a report that failed with gap 0 (say, a contour that never converged)
+    # fails its suite and Proposition 7.1: the verdict is the check's own
+    import elastica.cli as cli
+    from elastica.symbolcheck import GapReport
+
+    monkeypatch.setattr(
+        cli, "residue_heat",
+        lambda *a, **k: GapReport(value=1.0, closed_form=1.0, rel_gap=0.0, passed=False),
+    )
+    rc = run(["verify", "--suite", suite, "--mu", "1", "--lambda", "1"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "residue: FAIL" in out
+    if suite == "all":
+        assert "prop71: FAIL" in out
+        assert "interior: PASS" in out and "boundary: PASS" in out
+
+
+@pytest.mark.parametrize("suite, mu, lam", [("residue", "100", "100"), ("all", "1e6", "0")])
+def test_verify_large_mu_does_not_underflow(capsys, suite, mu, lam):
+    # at t = 1, |xi|^2 = 10 the closed form e^{-t mu |xi|^2} underflows to 0;
+    # the residue check compares both sides scaled by e^{t mu |xi|^2}
+    rc = run(["verify", "--suite", suite, "--mu", mu, "--lambda", lam])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "residue: PASS" in out and "FAIL" not in out
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):

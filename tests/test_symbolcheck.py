@@ -8,9 +8,11 @@ import pytest
 from elastica.errors import ParameterDomainError
 from elastica.params import LameParams
 from elastica.symbolcheck import (
+    GapReport,
     boundary_layer,
     interior_coefficient,
     prop71_analytic,
+    prop71_verdict,
     remark72_contrast,
     residue_heat,
     trace_q2,
@@ -104,6 +106,14 @@ def test_residue_circles_converge_across_parameters(mu, lam):
                 assert rep.detail["contour_converged"] and rep.rel_gap <= 1e-12, (t, xi2, n, rep.rel_gap)
 
 
+def test_residue_closed_form_does_not_underflow():
+    # e^{-t mu |xi|^2} = e^{-1e4} is 0.0 in floating point; the gap is taken
+    # on both sides scaled by e^{t mu |xi|^2}, where the closed form is >= n - 1
+    rep = residue_heat(1.0, 10.0, LameParams(1000.0, 1e4), 3)
+    assert rep.passed and rep.rel_gap <= 1e-12
+    assert rep.value == 0.0 and rep.closed_form == 0.0  # reported unscaled
+
+
 def test_residue_decoupled_single_pole():
     # lambda = -mu: the trace has one pole of order 1 with coefficient n
     for t, xi2 in [(0.1, 2.0), (0.5, 7.0)]:
@@ -159,6 +169,21 @@ def test_prop71_analytic_pass():
     assert "b1^- + b1^+ = 0" in v.conclusion
     v2 = prop71_analytic(LameParams(2.0, 0.0), 3)
     assert v2.passed
+
+
+def test_prop71_verdict_reads_each_reports_passed():
+    # the verdict is the conjunction of the reports' own verdicts: a report
+    # that failed with gap 0 fails it, whatever the gaps say
+    residue = [residue_heat(t, xi2, P11, 2) for t in (0.1, 1.0) for xi2 in (0.0, 1.0)]
+    interior = [interior_coefficient(t, P11, 2) for t in (0.1, 1.0)]
+    boundary = [boundary_layer(t, P11, 2) for t in (0.1, 1.0)]
+    assert prop71_verdict(P11, 2, residue, interior, boundary).passed
+    bad = GapReport(value=1.0, closed_form=1.0, rel_gap=0.0, passed=False)
+    for lists in ([residue + [bad], interior, boundary], [residue, interior + [bad], boundary],
+                  [residue, interior, boundary + [bad]]):
+        w = prop71_verdict(P11, 2, *lists)
+        assert w.passed is False
+        assert max(w.residue_gaps + w.interior_gaps + w.boundary_gaps) <= 1e-8
 
 
 def test_prop71_scaling_invariance():
