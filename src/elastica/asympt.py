@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import Theory, boundary_coefficient, weyl_a
+from .coeffs import Theory, boundary_coefficient, heat_gamma, weyl_a
 from .errors import ParameterDomainError, SingularLimitError, TailBoundError, WindowError
 from .spectrum import Spectrum
 
@@ -227,10 +227,10 @@ def fit_heat_samples(t, z) -> tuple[float, float, float, float]:
         )
     X = np.column_stack([np.ones_like(t), np.sqrt(t)])
     cond = np.linalg.cond(X)
-    if cond > 1e8 or len(t) < 8:
+    if cond > 1e8:
         raise WindowError(
-            f"fit window [{t.min():g}, {t.max():g}] ill-conditioned or too small "
-            f"(cond={cond:.2g}, n={len(t)}); widen the window span"
+            f"fit window [{t.min():g}, {t.max():g}] ill-conditioned "
+            f"(cond={cond:.2g}); widen the window span"
         )
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = float(np.linalg.norm(y - X @ coef) / np.linalg.norm(y))
@@ -242,64 +242,58 @@ def fit_two_term(spectrum: Spectrum, model: str, window=None) -> FitReport:
 
     heat: Z(t)*t against (1, sqrt(t)); estimates are the raw coefficients,
     i.e. a~*Vol and b~*Vol_1.  counting: the Cesaro-averaged remainder
-    against a constant; the estimate is b-hat directly.  Discriminator
+    against a constant; the estimate is b-hat directly.  Either window needs
+    at least 8 samples and a positive span, and a counting window at least
+    one eigenvalue below its top (WindowError otherwise).  Discriminator
     distances compare against both theories' closed forms; verdicts are
     only emitted when the fit residual is small enough to mean anything.
     """
-    params = spectrum.params
-    geometry = spectrum.domain
-    if model == "heat":
-        t = np.asarray(window) if window is not None else default_heat_window(spectrum)
-        if t.size < 8:
-            raise WindowError("need >= 8 samples in the fit window")
-        z = heat_trace(spectrum, t).values
-        c0, c1, resid, cond = fit_heat_samples(t, z)
-        estimates = (c0, c1)
-        b_hat_per_length = c1 / geometry.boundary_length
-        window_out = (float(t.min()), float(t.max()))
-    elif model == "counting":
-        if window is None:
-            window = fit_window(model, 0.5 * spectrum.lambda_max, spectrum.lambda_max)
-        lam = np.asarray(window, dtype=float)
-        if lam.size < 8:
-            raise WindowError("need >= 8 samples in the fit window")
-        rem = remainder_series(spectrum, lam, weyl_a(params, 2))
-        b_hat = float(np.mean(rem.cesaro))
-        resid = float(np.std(rem.cesaro) / max(abs(b_hat), 1e-300))
-        estimates = (b_hat,)
-        b_hat_per_length = b_hat
-        cond = 1.0
-        window_out = (float(lam.min()), float(lam.max()))
-    else:
+    if model not in ("heat", "counting"):
         raise ParameterDomainError(f"unknown model {model!r}; use 'heat' or 'counting'")
+    params = spectrum.params
+    if window is not None:
+        samples = np.asarray(window, dtype=float)
+    elif model == "heat":
+        samples = default_heat_window(spectrum)
+    else:
+        samples = fit_window(model, 0.5 * spectrum.lambda_max, spectrum.lambda_max)
+    lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (math.nan, math.nan)
+    if samples.size < 8 or lo == hi:
+        raise WindowError("the fit window needs >= 8 samples and a positive span, "
+                          f"got {samples.size} on [{lo:g}, {hi:g}]")
+    if model == "heat":
+        c0, c1, resid, cond = fit_heat_samples(samples, heat_trace(spectrum, samples).values)
+        estimates = (c0, c1)
+        b_hat_per_length = c1 / spectrum.domain.boundary_length
+        factor = heat_gamma(1)  # b~ = Gamma(3/2) b in two dimensions
+    else:
+        rem = remainder_series(spectrum, samples, weyl_a(params, 2))
+        if not np.any(spectrum.eigenvalues < hi):
+            raise WindowError(f"no eigenvalue below the counting window's top {hi:g}; "
+                              "the remainder would be the Weyl term alone")
+        b_hat_per_length = float(np.mean(rem.cesaro))
+        resid = float(np.std(rem.cesaro) / max(abs(b_hat_per_length), 1e-300))
+        estimates = (b_hat_per_length,)
+        cond, factor = 1.0, 1.0
 
-    discriminator = {}
     emitted = resid <= _VERDICT_RESIDUAL_MAX[model]
+    targets = {}
     for theory in Theory:
         try:
-            b_theory = boundary_coefficient(params, 2, spectrum.bc, theory)
+            targets[theory.value] = factor * boundary_coefficient(params, 2, spectrum.bc, theory)
         except SingularLimitError as exc:  # the free CFLV coefficient at alpha = 1
-            discriminator[theory.value] = {"error": str(exc)}
-            continue
-        if model == "heat":
-            b_theory *= math.gamma(1.5)
-        dist = abs(b_hat_per_length - b_theory)
-        entry = {"target": b_theory, "distance": dist}
+            targets[theory.value] = exc
+    dists = {k: abs(b_hat_per_length - b) for k, b in targets.items() if not isinstance(b, Exception)}
+    # a verdict needs both distances; ties (the theories coincide at alpha = 1) mark both
+    best = min(dists.values()) * (1.0 + 1e-12) if len(dists) == len(targets) else None
+    discriminator = {k: {"error": str(b)} for k, b in targets.items() if k not in dists}
+    for k, dist in dists.items():
+        entry = discriminator[k] = {"target": targets[k], "distance": dist}
         if emitted:
-            entry["closer"] = None  # filled below once both distances exist
-        discriminator[theory.value] = entry
-    dists = {
-        k: v["distance"] for k, v in discriminator.items() if "distance" in v
-    }
-    if emitted and len(dists) == 2:
-        best = min(dists.values())
-        for k in discriminator:
-            if "distance" in discriminator[k]:
-                # ties (the theories coincide at alpha = 1) mark both
-                discriminator[k]["closer"] = dists[k] <= best * (1.0 + 1e-12)
+            entry["closer"] = None if best is None else dist <= best
     return FitReport(
         model=model,
-        window=window_out,
+        window=(lo, hi),
         estimates=estimates,
         residual_norm=resid,
         condition=cond,
@@ -358,6 +352,8 @@ def prop71_empirical(spec_dirichlet: Spectrum, spec_free: Spectrum) -> Prop71Rep
     Dirichlet boundary coefficient in magnitude.
     """
     sd, sf = spec_dirichlet, spec_free
+    if (sd.bc.value, sf.bc.value) != ("dirichlet", "free"):
+        raise ParameterDomainError(f"need a Dirichlet then a free spectrum, got {sd.bc.value}, {sf.bc.value}")
     if sd.domain.name != sf.domain.name:
         raise ParameterDomainError("spectra must share the domain")
     if (sd.params.mu, sd.params.lam) != (sf.params.mu, sf.params.lam):

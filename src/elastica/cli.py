@@ -33,7 +33,6 @@ from .coeffs import (
     _BD_QUAD,
     SUM_TEST_REL_TOL,
     Theory,
-    heat_two_term,
     rayleigh_root,
     sum_test,
     to_heat_coeffs,
@@ -109,11 +108,12 @@ def cmd_coeffs(parser, args) -> int:
         "alpha": params.alpha,
         "gamma_r": {"value": root.gamma_r, "residual": root.residual},
     }
+    heat = {}
     try:
         for th in theories:
             w = weyl_two_term(params, n, th)
-            h = to_heat_coeffs(w)
-            s = sum_test(params, n, th)
+            h = heat[th] = to_heat_coeffs(w)
+            s = sum_test(w)
             outputs[th.value] = {
                 "a": {"value": w.a, "tolerance": 1e-14},
                 "b_minus": {"value": w.b_minus, "tolerance": _QUAD_TOL},
@@ -124,7 +124,8 @@ def cmd_coeffs(parser, args) -> int:
                 "sum_test": {"value": s.total, "tolerance": SUM_TEST_REL_TOL,
                              "verdict": "PASS" if s.passed else "FAIL"},
             }
-        ht = heat_two_term(params, n)
+        # the heat closed form is Liu's pair converted, the same b~ a fit is measured against
+        ht = heat.get(Theory.LIU) or to_heat_coeffs(weyl_two_term(params, n, Theory.LIU))
     except ElasticaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -216,6 +217,8 @@ def cmd_fit(parser, args) -> int:
             lo, hi = (_positive_float(x) for x in args.window.split(","))
         except (ValueError, argparse.ArgumentTypeError):
             parser.error("--window expects 'lo,hi', two finite positive numbers")
+        if not lo < hi:
+            parser.error(f"--window expects lo < hi, got {args.window!r}")
         window = fit_window(args.model, lo, hi)
     try:
         rep = fit_two_term(spectrum, args.model, window=window)

@@ -194,32 +194,27 @@ def weyl_two_term(params: LameParams, n: int, theory: Theory) -> WeylTwoTerm:
     )
 
 
+def heat_gamma(order: int) -> float:
+    """Gamma(1 + order/2): the factor from a counting coefficient of lambda^{order/2}
+    to the heat coefficient of t^{-order/2}."""
+    return math.gamma(1.0 + order / 2.0)
+
+
 def to_heat_coeffs(w: WeylTwoTerm) -> HeatTwoTerm:
-    """Gamma-factor conversion: a~ = Gamma(1+n/2) a, b~ = Gamma(1+(n-1)/2) b."""
+    """Gamma-factor conversion: a~ = Gamma(1+n/2) a, b~ = Gamma(1+(n-1)/2) b.
+
+    Of Liu's pair this is the two-Gaussian heat closed form
+    a~ = ((n-1)/mu^{n/2} + 1/(lambda+2mu)^{n/2}) / (4 pi)^{n/2},
+    b~-/+ = -/+ (1/4) ((n-1)/mu^{(n-1)/2} + 1/(lambda+2mu)^{(n-1)/2}) / (4 pi)^{(n-1)/2}.
+    """
     n = w.dimension
-    ga = math.gamma(1.0 + n / 2.0)
-    gb = math.gamma(1.0 + (n - 1) / 2.0)
+    ga, gb = heat_gamma(n), heat_gamma(n - 1)
     return HeatTwoTerm(
         dimension=n,
         a_tilde=ga * w.a,
         b_tilde_minus=gb * w.b_minus,
         b_tilde_plus=gb * w.b_plus,
     )
-
-
-def heat_two_term(params: LameParams, n: int) -> HeatTwoTerm:
-    """Heat-trace coefficients straight from the closed forms.
-
-    a~ = ((n-1)/mu^{n/2} + 1/(lambda+2mu)^{n/2}) / (4 pi)^{n/2},
-    b~-/+ = -/+ (1/4) ((n-1)/mu^{(n-1)/2} + 1/(lambda+2mu)^{(n-1)/2}) / (4 pi)^{(n-1)/2}
-    """
-    check_dimension(n)
-    mu, cp2 = params.mu, params.pressure_speed2
-    a_t = ((n - 1) / mu ** (n / 2.0) + cp2 ** (-n / 2.0)) / (4.0 * math.pi) ** (n / 2.0)
-    b_mag = 0.25 * ((n - 1) / mu ** ((n - 1) / 2.0) + cp2 ** (-(n - 1) / 2.0)) / (
-        (4.0 * math.pi) ** ((n - 1) / 2.0)
-    )
-    return HeatTwoTerm(dimension=n, a_tilde=a_t, b_tilde_minus=-b_mag, b_tilde_plus=b_mag)
 
 
 @dataclass(frozen=True)
@@ -235,19 +230,17 @@ class SumTestResult:
 SUM_TEST_REL_TOL = 1e-12
 
 
-def sum_test(params: LameParams, n: int, theory: Theory) -> SumTestResult:
-    """Does b^- + b^+ vanish?  PASS iff |sum| <= SUM_TEST_REL_TOL * max(|b^-|, |b^+|).
+def sum_test(w: WeylTwoTerm) -> SumTestResult:
+    """Does b^- + b^+ of the pair vanish?  PASS iff |sum| <= SUM_TEST_REL_TOL * max(|b^-|, |b^+|).
 
     Identically PASS for the sign-symmetric theory; the counting theory's
     sum is generically nonzero, which is exactly the cancellation dispute.
     """
-    bm = boundary_coefficient(params, n, BoundaryCondition.DIRICHLET, theory)
-    bp = boundary_coefficient(params, n, BoundaryCondition.FREE, theory)
-    total = bm + bp
+    total = w.b_minus + w.b_plus
     return SumTestResult(
-        theory=theory,
-        b_minus=bm,
-        b_plus=bp,
+        theory=w.theory,
+        b_minus=w.b_minus,
+        b_plus=w.b_plus,
         total=total,
-        passed=abs(total) <= SUM_TEST_REL_TOL * max(abs(bm), abs(bp)),
+        passed=abs(total) <= SUM_TEST_REL_TOL * max(abs(w.b_minus), abs(w.b_plus)),
     )

@@ -6,15 +6,16 @@ is supposed to equal:
 * ``trace_q2``: the leading resolvent-symbol trace at a flat point.
 * ``residue_heat``: its contour integral against the two-exponential form.
 * ``interior_coefficient``: the full-space momentum integral against the
-  two-Gaussian heat coefficient a~ of ``coeffs.heat_two_term``.
+  two-Gaussian heat coefficient a~ of Liu's pair (``to_heat_coeffs``).
 * ``boundary_layer``: the reflected-kernel normal integral against the
-  quarter-sum of boundary Gaussians, b~+ of ``coeffs.heat_two_term``, plus
-  the exponentially small truncation tail.
+  quarter-sum of boundary Gaussians, b~+ of Liu's pair, plus the
+  exponentially small truncation tail.
 * ``prop71_analytic``: chains the three into the cancellation verdict for
   the averaged Dirichlet/free kernel (``prop71_verdict`` builds it from
   the GapReports of checks already run).
 
-So the integral checks test the numbers ``elastica coeffs`` reports.
+So the integral checks test the numbers ``elastica coeffs`` reports and
+the ``b_liu`` that a fit's discriminator measures against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import Theory, heat_two_term, sum_test
+from .coeffs import Theory, heat_gamma, sum_test, to_heat_coeffs, weyl_two_term
 from .errors import ParameterDomainError
 from .params import LameParams, check_dimension
 from .specfun import ContourSpec, QuadratureSpec, contour_integral, integrate
@@ -126,7 +127,7 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
     """Radial momentum integral of the two-Gaussian symbol vs the closed form.
 
     (2 pi)^{-n} int ((n-1) e^{-t mu |xi|^2} + e^{-t(2mu+lambda)|xi|^2}) d xi
-    = a~ t^{-n/2}, with a~ the value ``coeffs.heat_two_term`` reports.
+    = a~ t^{-n/2}, with a~ of Liu's pair (``to_heat_coeffs``).
     """
     if t <= 0:
         raise ParameterDomainError("t must be positive")
@@ -141,7 +142,7 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
         )
 
     val = sphere / (2.0 * math.pi) ** n * integrate(f, 0.0, rmax, _QUAD).value
-    closed = heat_two_term(params, n).a_tilde * t ** (-n / 2.0)
+    closed = to_heat_coeffs(weyl_two_term(params, n, Theory.LIU)).a_tilde * t ** (-n / 2.0)
     gap = abs(val - closed) / closed
     return GapReport(value=val, closed_form=closed, rel_gap=gap, passed=gap <= INTEGRAL_GAP_TOL)
 
@@ -152,7 +153,7 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
     int_0^inf [(n-1)(4 pi mu t)^{-n/2} e^{-(2s)^2/(4 mu t)}
                + (4 pi (2mu+lambda) t)^{-n/2} e^{-(2s)^2/(4(2mu+lambda)t)}] ds
     = (1/4) [(n-1)(4 pi mu t)^{-(n-1)/2} + (4 pi (2mu+lambda) t)^{-(n-1)/2}]
-    = b~+ t^{-(n-1)/2}, with b~+ the value ``coeffs.heat_two_term`` reports.
+    = b~+ t^{-(n-1)/2}, with b~+ = Gamma(1+(n-1)/2) b_liu of the free boundary.
 
     With ``eps`` the truncated tail int_eps^inf is also evaluated and its
     ratio to the full value reported (it is exponentially small in 1/t).
@@ -171,7 +172,7 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
 
     smax = math.sqrt(50.0 * t * max(c1, c2))
     val = integrate(f, 0.0, smax, _QUAD).value
-    closed = heat_two_term(params, n).b_tilde_plus * t ** (-(n - 1) / 2.0)
+    closed = to_heat_coeffs(weyl_two_term(params, n, Theory.LIU)).b_tilde_plus * t ** (-(n - 1) / 2.0)
     gap = abs(val - closed) / closed
     detail = {}
     if eps is not None:
@@ -230,7 +231,7 @@ def prop71_verdict(params: LameParams, n: int, residue, interior, boundary) -> P
     heat half-sum coefficients cancel; the Gamma-factor conversion carries
     that to the counting coefficients: d1^- + d1^+ = 0 implies b1^- + b1^+ = 0.
     """
-    gb = math.gamma(1.0 + (n - 1) / 2.0)
+    gb = heat_gamma(n - 1)
     conclusion = (
         "interior expansion carries integer powers t^{l-n/2} only, so the "
         "t^{-(n-1)/2} term of (Z^- + Z^+)/2 vanishes: d1^- + d1^+ = 0, and "
@@ -249,7 +250,7 @@ def prop71_verdict(params: LameParams, n: int, residue, interior, boundary) -> P
 
 def remark72_contrast(params: LameParams, n: int) -> dict:
     """The documented contradiction: counting-theory b^- + b^+ vs the cancellation."""
-    cflv = sum_test(params, n, Theory.CFLV)
+    cflv = sum_test(weyl_two_term(params, n, Theory.CFLV))
     verdict = prop71_analytic(params, n)
     return {
         "cflv_sum": cflv.total,

@@ -15,7 +15,7 @@ from elastica.asympt import (
     prop71_empirical,
     remainder_series,
 )
-from elastica.coeffs import weyl_a
+from elastica.coeffs import Theory, to_heat_coeffs, weyl_a, weyl_two_term
 from elastica.errors import ParameterDomainError, TailBoundError, WindowError
 from elastica.fem import (
     disk_dirichlet_spectrum,
@@ -280,6 +280,9 @@ def test_fit_report_square_dirichlet():
     assert abs(rep.estimates[1] - target) / abs(target) < 0.05
     assert rep.verdicts_emitted
     assert rep.discriminator["liu"]["distance"] < 0.05 * abs(target)
+    # the heat target is b~ of Liu's pair per unit boundary length, as coeffs converts it
+    liu = to_heat_coeffs(weyl_two_term(sp.params, 2, Theory.LIU))
+    assert rep.discriminator["liu"]["target"] == liu.b_tilde_minus
 
 
 def test_fit_counting_model():
@@ -333,6 +336,33 @@ def test_prop71_disk_fem_exploratory():
         f"b_sum_fit {rep.b_sum_fit:.4f}, b_minus_fit {rep.b_minus_fit:.4f}, "
         f"ratio {rep.ratio:.2f} (not gated; see notes)"
     )
+
+
+def test_fit_window_needs_eight_samples_and_a_positive_span():
+    # 64 copies of one lambda give a zero residual, not a verdict
+    sp = disk_dirichlet_spectrum(1.0, 250.0)
+    with pytest.raises(WindowError, match="8 samples"):
+        fit_two_term(sp, "counting", window=np.linspace(100.0, 200.0, 7))
+    with pytest.raises(WindowError, match="positive span"):
+        fit_two_term(sp, "counting", window=np.full(64, 200.0))
+    with pytest.raises(WindowError, match="positive span"):
+        fit_two_term(sp, "heat", window=np.full(24, 0.1))
+
+
+def test_fit_counting_needs_an_eigenvalue_below_the_window_top():
+    sp = _spectrum_from_values([50.0], lambda_max=100.0)
+    with pytest.raises(WindowError, match="no eigenvalue"):
+        fit_two_term(sp, "counting", window=np.linspace(20.0, 50.0, 64))
+    assert fit_two_term(sp, "counting", window=np.linspace(20.0, 51.0, 64)).estimates
+
+
+@pytest.mark.parametrize("order", [("free", "dirichlet"), ("dirichlet", "dirichlet"), ("free", "free")],
+                         ids=["swapped", "dirichlet_twice", "free_twice"])
+def test_prop71_empirical_takes_dirichlet_then_free(order):
+    spectra = {"dirichlet": square_dirichlet_spectrum(1.0, 1e4),
+               "free": square_neumann_lattice_spectrum(1.0, 1e4)}
+    with pytest.raises(ParameterDomainError, match="a Dirichlet then a free"):
+        prop71_empirical(*(spectra[bc] for bc in order))
 
 
 def test_prop71_input_validation():

@@ -65,6 +65,19 @@ def test_coeffs_boundary_tolerances_are_the_quadrature_target(tmp_path):
             assert outputs[theory][name]["tolerance"] == _BD_QUAD.rel_tol
 
 
+def test_coeffs_runs_each_quadrature_once(monkeypatch, capsys):
+    # sum_test reads the pair weyl_two_term built: the two CFLV arctan
+    # integrals at alpha = 1/3 take 1 + 2 quadratures, each run once
+    import elastica.coeffs as coeffs
+
+    calls = []
+    integrate = coeffs.integrate
+    monkeypatch.setattr(coeffs, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    assert run(["coeffs", "--mu", "1", "--lambda", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+
+
 def test_missing_required_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["coeffs", "--lambda", "1"])
@@ -302,11 +315,13 @@ def test_fit_bad_or_empty_spectrum_file_exit3(tmp_path, capsys, rows, model):
     assert not out.exists()
 
 def test_fit_counting_without_admissible_t_writes_null(tmp_path, capsys):
-    # a disk below its first eigenvalue: the counting fit runs, but no heat t
-    # passes the tail test, so min_admissible_t is null (strict JSON has no inf)
+    # a disk cut 1e-3 above its first eigenvalue 11.3221 (multiplicity 2): the
+    # counting fit runs, but no heat t passes the tail test, so
+    # min_admissible_t is null (strict JSON has no inf)
     spath = tmp_path / "w.csv"
     assert run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "1", "--bc", "dirichlet",
-                "--method", "potential", "--lambda-max", "3", "--out", str(spath)]) == 0
+                "--method", "potential", "--lambda-max", "11.3231", "--out", str(spath)]) == 0
+    assert read_spectrum(spath).total_count == 2
     out = tmp_path / "f.json"
     assert run(["fit", "--spectrum", str(spath), "--model", "counting", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["outputs"]["min_admissible_t"] is None
@@ -315,6 +330,31 @@ def test_fit_counting_without_admissible_t_writes_null(tmp_path, capsys):
     assert run(["fit", "--spectrum", str(spath), "--model", "heat", "--out", str(heat)]) == 3
     assert not heat.exists()
     capsys.readouterr()
+
+
+def test_fit_counting_without_eigenvalues_exit3(tmp_path, capsys):
+    # a disk below its first eigenvalue: the counting remainder is the Weyl
+    # term alone, so the fit is refused as the heat fit of a zero trace is
+    spath = tmp_path / "w.csv"
+    assert run(["spectrum", "--domain", "disk", "--mu", "1", "--lambda", "1", "--bc", "dirichlet",
+                "--method", "potential", "--lambda-max", "3", "--out", str(spath)]) == 0
+    out = tmp_path / "f.json"
+    assert run(["fit", "--spectrum", str(spath), "--model", "counting", "--out", str(out)]) == 3
+    assert "no eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, window", [("counting", "200,200"), ("counting", "240,120"),
+                                           ("heat", "0.1,0.01")])
+def test_fit_window_lo_not_below_hi_usage_error(tmp_path, capsys, model, window):
+    spath = tmp_path / "sq.csv"
+    write_spectrum(square_dirichlet_spectrum(1.0, 250.0), spath)
+    out = tmp_path / "f.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--spectrum", str(spath), "--model", model, "--window", window, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "lo < hi" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_all_pass(tmp_path, capsys):

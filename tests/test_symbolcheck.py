@@ -72,11 +72,12 @@ def test_trace_and_residue_refuse_negative_xi2_and_unsupported_dimensions(xi2, n
 
 def test_integral_checks_compare_with_the_reported_heat_coefficients():
     # interior and boundary-layer closed forms are a~ t^{-n/2} and b~+ t^{-(n-1)/2}
-    # of coeffs.heat_two_term, the numbers ``elastica coeffs`` reports
-    from elastica.coeffs import heat_two_term
+    # of Liu's pair converted by to_heat_coeffs: the numbers ``elastica coeffs``
+    # reports and the b_liu a fit's discriminator measures against
+    from elastica.coeffs import Theory, to_heat_coeffs, weyl_two_term
 
     for params, n, t in [(P11, 2, 0.1), (LameParams(0.5, 10.0), 3, 1.0), (PDEC, 5, 0.01)]:
-        h = heat_two_term(params, n)
+        h = to_heat_coeffs(weyl_two_term(params, n, Theory.LIU))
         assert interior_coefficient(t, params, n).closed_form == h.a_tilde * t ** (-n / 2.0)
         assert boundary_layer(t, params, n).closed_form == h.b_tilde_plus * t ** (-(n - 1) / 2.0)
 
