@@ -48,18 +48,6 @@ def _dhat(k, lams, params, bc):
     return d / sc, dd / sc
 
 
-def _scan_step(lam, params):
-    """0.25 / (local root density of one angular mode).
-
-    Roots of either Bessel family are asymptotically spaced pi in the
-    wavenumber, i.e. 2*pi*sqrt(c*Lambda) in the eigenvalue for speed c.
-    """
-    rho = (1.0 / (2.0 * math.pi)) * (
-        1.0 / np.sqrt(params.mu * lam) + 1.0 / np.sqrt(params.pressure_speed2 * lam)
-    )
-    return 0.25 / rho
-
-
 def _scan_floor(ks, params):
     """Scan start per angular mode: below the Rayleigh floor mu*w1*k^2 (no
     eigenvalue sits under it) for k >= 2."""
@@ -69,27 +57,31 @@ def _scan_floor(ks, params):
     return np.maximum(1e-3 * min(params.mu, params.pressure_speed2), floor)
 
 
-def _grids(params, lam_lo, lam_hi, halvings):
-    """Scan grids of several modes, stepped in lockstep from their starts lam_lo.
+def _grids(params, lam_lo, lam_hi, factors):
+    """Scan grids of several modes, each from its start lam_lo[i] up to lam_hi.
+
+    A step is factors[i] (a power of two) times 0.25 / (local root density of
+    one angular mode): roots of either Bessel family are asymptotically
+    spaced pi in the wavenumber, i.e. 2*pi*sqrt(c*Lambda) in the eigenvalue
+    for speed c.  Each grid is stepped in floats; the last point is capped at
+    lam_hi, and a start at or above lam_hi is the grid's only point.
 
     Returns (points, owner): every mode's grid ascending and contiguous, and
     the index into lam_lo of the mode each point belongs to.
     """
-    factor = 0.5**halvings
-    owner = np.arange(lam_lo.size)
-    lam = np.asarray(lam_lo, dtype=float)
-    pts, owners = [lam], [owner]
-    while True:
-        keep = lam < lam_hi
-        owner, lam = owner[keep], lam[keep]
-        if not owner.size:
-            break
-        lam = lam + factor * _scan_step(lam, params)
-        pts.append(np.minimum(lam, lam_hi))
-        owners.append(owner)
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    return np.concatenate(pts)[order], owner[order]
+    mu, cp, lam_hi = params.mu, params.pressure_speed2, float(lam_hi)
+    c = 1.0 / (2.0 * math.pi)
+    pts, sizes = [], []
+    for lam, f in zip(np.asarray(lam_lo, dtype=float).tolist(), np.asarray(factors, dtype=float).tolist()):
+        n = len(pts)
+        pts.append(lam)
+        while lam < lam_hi:
+            lam += f * (0.25 / (c * (1.0 / math.sqrt(mu * lam) + 1.0 / math.sqrt(cp * lam))))
+            pts.append(lam)
+        if len(pts) - n > 1:
+            pts[-1] = lam_hi  # the step that ends the loop reaches lam_hi or passes it
+        sizes.append(len(pts) - n)
+    return np.array(pts), np.repeat(np.arange(len(sizes)), sizes)
 
 
 @dataclass(frozen=True)
@@ -115,18 +107,26 @@ class _ScanPass:
 
 
 def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
-    """One scan pass over the angular modes ks in (0, lambda_max], at step 0.5**halvings.
+    """Scan passes over the angular modes ks in (0, lambda_max], coarse first:
+    the pass at step 0.5**halvings and, for halvings = 0, its verification
+    pass at step 0.5 too.
 
-    Every mode's grid starts below its Rayleigh floor, and all grids go
-    through one determinant evaluation.  Roots are counted from sign changes
-    (plus exact zeros and resolved near-double dips) without refining them.
-    A root is not certified where both Bessel factors have underflowed (the
-    determinant is exponentially small but nonzero there, so a 0.0 sample
-    carries no sign information).
+    Every mode's grid starts below its Rayleigh floor, and the grids of all
+    the passes go through one determinant evaluation; each point's value
+    depends on that point alone, so every pass is what a call for it alone
+    returns.  Roots are counted from sign changes (plus exact zeros and
+    resolved near-double dips) without refining them.  A root is not
+    certified where both Bessel factors have underflowed (the determinant is
+    exponentially small but nonzero there, so a 0.0 sample carries no sign
+    information).
     """
     ks = np.asarray(ks, dtype=np.int64)
-    grid, owner = _grids(params, _scan_floor(ks, params), lambda_max, halvings)
-    d, _, sc = _backend.det_grid(ks[owner], grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
+    steps = [1.0, 0.5] if halvings == 0 else [0.5**halvings]
+    # lane j*ks.size + i is mode ks[i] at step steps[j]
+    lanes = np.tile(ks, len(steps))
+    starts = np.tile(_scan_floor(ks, params), len(steps))
+    grid, owner = _grids(params, starts, lambda_max, np.repeat(steps, ks.size))
+    d, _, sc = _backend.det_grid(lanes[owner], grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
     dhat = d / sc
     alive = sc > 1e-200
     same = owner[:-1] == owner[1:]
@@ -152,11 +152,17 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
         & (dhat[1:-1] * dhat[2:] > 0.0)
     )
     for i in dips:
-        k = int(ks[owner[i]])
+        k = int(lanes[owner[i]])
         for lo, hi, flo, fhi in _deflated_pair(k, grid[i - 1], grid[i + 1], dhat[i - 1], dhat[i + 1], params, bc):
             rows.append(([owner[i]], [lo], [hi], [flo], [fhi]))
     own, lo, hi, flo, fhi = (np.concatenate(col) for col in zip(*rows))
-    return _ScanPass(ks[own], lo, hi, flo, fhi, np.bincount(own, minlength=ks.size))
+    counts = np.bincount(own, minlength=lanes.size)
+    passes = []
+    for j in range(len(steps)):
+        sel = own // ks.size == j
+        passes.append(_ScanPass(lanes[own[sel]], lo[sel], hi[sel], flo[sel], fhi[sel],
+                                counts[j * ks.size:(j + 1) * ks.size]))
+    return tuple(passes)
 
 
 def _deflated_pair(k, a, b, fa, fb, params, bc):
@@ -234,17 +240,18 @@ def disk_spectrum_potential(
     start with the three rigid-motion zero modes (``k0_rigid``).
 
     Every angular mode is scanned twice (the verification pass halves the
-    step) and keeps halving, up to six times, until its root count is
-    stable; only the accepted pass of each mode is refined, all brackets in
-    lockstep.  A root whose |D/scale| exceeds ``_RESIDUAL_REL`` has no
-    certificate: SolverError, and no spectrum.  When lambda_max would need
-    modes beyond k_max, the cutoff drops to the bound below which the
+    step; both passes of all modes are one determinant evaluation) and keeps
+    halving, up to six times, until its root count is stable; only the
+    accepted pass of each mode is refined, all brackets in lockstep.  A root
+    whose |D/scale| exceeds ``_RESIDUAL_REL`` has no certificate: SolverError,
+    and no spectrum.  k_max is an integer in [0, 60]; when lambda_max would
+    need modes beyond k_max, the cutoff drops to the bound below which the
     truncated union is provably complete.
     """
     _check_alpha(params, bc)
     check_cutoff(lambda_max)
-    if not 0 <= k_max <= 60:
-        raise ParameterDomainError(f"k_max must lie in [0, 60], got {k_max}")
+    if not isinstance(k_max, (int, np.integer)) or not 0 <= k_max <= 60:
+        raise ParameterDomainError(f"k_max must be an integer in [0, 60], got {k_max!r}")
     if lambda_max > 1e5:
         raise ParameterDomainError(f"lambda_max capped at 1e5, got {lambda_max}")
     k_cap, cutoff = _active_k_max(params, lambda_max, k_max)
@@ -254,11 +261,13 @@ def disk_spectrum_potential(
     # (k, lo, hi, flo, fhi) of the accepted pass of every mode
     accepted = [(np.empty(0, dtype=np.int64),) + (np.empty(0),) * 4]
     if pending.size:
-        counts = _scan_angular_mode(pending, params, bc, cutoff, halvings=0).counts
+        coarse, cur = _scan_angular_mode(pending, params, bc, cutoff, halvings=0)
+        counts = coarse.counts
     for h in range(1, _MAX_STEP_HALVINGS + 1):
         if not pending.size:
             break
-        cur = _scan_angular_mode(pending, params, bc, cutoff, halvings=h)
+        if h > 1:
+            (cur,) = _scan_angular_mode(pending, params, bc, cutoff, halvings=h)
         settled = (cur.counts == counts) | (h == _MAX_STEP_HALVINGS)
         accepted.append(cur.brackets_of(pending[settled]))
         pending, counts = pending[~settled], cur.counts[~settled]

@@ -377,10 +377,11 @@ def test_k_truncation_lowers_validity_cutoff():
     assert sp2.lambda_max == 200.0
 
 
-@pytest.mark.parametrize("k_max", [-5, -1, 61])
+@pytest.mark.parametrize("k_max", [-5, -1, 61, 2.5, 2.0])
 def test_k_max_outside_its_range_is_refused(k_max):
     # (k_max + 1)^2 in the completeness bound would turn k_max = -5 into a
-    # cutoff of 12.85 on a file holding only the rigid modes
+    # cutoff of 12.85 on a file holding only the rigid modes, and k_max = 2.5
+    # into one from 3.5^2 while modes 0..3 are scanned
     with pytest.raises(ParameterDomainError, match="k_max"):
         disk_spectrum_potential(P11, BC.FREE, k_max=k_max, lambda_max=50.0)
 
@@ -426,7 +427,7 @@ def test_scan_pass_resolves_a_tangent_double_root(monkeypatch):
     from elastica import diskmodes
     from elastica.specfun import _backend
 
-    grid, _ = diskmodes._grids(P11, diskmodes._scan_floor([1], P11), 60.0, 0)
+    grid, _ = diskmodes._grids(P11, diskmodes._scan_floor([1], P11), 60.0, [1.0])
     r = grid[5] - 1e-4
 
     def fake_det_grid(k, lams, mu, lam, free):
@@ -434,7 +435,61 @@ def test_scan_pass_resolves_a_tangent_double_root(monkeypatch):
         return (lams - r) ** 2, 2.0 * (lams - r), np.ones_like(lams)
 
     monkeypatch.setattr(_backend, "det_grid", fake_det_grid)
-    scan = diskmodes._scan_angular_mode([1], P11, BC.DIRICHLET, 60.0, halvings=0)
+    scan = diskmodes._scan_angular_mode([1], P11, BC.DIRICHLET, 60.0, halvings=0)[0]
     assert list(scan.counts) == [2]
     assert np.array_equal(scan.lo, scan.hi)
     assert np.allclose(scan.lo, r, rtol=1e-6)
+
+
+def _lockstep_grids(params, lam_lo, lam_hi, halvings):
+    """Reference scan grids: every mode stepped in lockstep as numpy arrays."""
+    factor = 0.5**halvings
+    owner = np.arange(lam_lo.size)
+    lam = np.asarray(lam_lo, dtype=float)
+    pts, owners = [lam], [owner]
+    while True:
+        keep = lam < lam_hi
+        owner, lam = owner[keep], lam[keep]
+        if not owner.size:
+            break
+        rho = (1.0 / (2.0 * math.pi)) * (
+            1.0 / np.sqrt(params.mu * lam) + 1.0 / np.sqrt(params.pressure_speed2 * lam)
+        )
+        lam = lam + factor * (0.25 / rho)
+        pts.append(np.minimum(lam, lam_hi))
+        owners.append(owner)
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return np.concatenate(pts)[order], owner[order]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 3.0, -0.5])
+@pytest.mark.parametrize("mu", [1.0, 0.7])
+def test_grids_equal_the_lockstep_recursion_bit_for_bit(lam, mu):
+    from elastica import diskmodes
+
+    params = LameParams(mu, lam)
+    for cutoff in (30.0, 250.0, 3e4):
+        # the last start lies above the cutoff: its grid is that start alone
+        starts = np.append(diskmodes._scan_floor(np.arange(61), params), [cutoff, 2.0 * cutoff])
+        for h in range(4):
+            ref, ref_owner = _lockstep_grids(params, starts, cutoff, h)
+            grid, owner = diskmodes._grids(params, starts, cutoff, [0.5**h] * starts.size)
+            assert grid.tobytes() == ref.tobytes(), (cutoff, h)
+            assert np.array_equal(owner, ref_owner), (cutoff, h)
+
+
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+def test_first_call_returns_the_verification_pass_of_a_call_alone(bc, lam):
+    from elastica import diskmodes
+
+    params = LameParams(1.0, lam)
+    ks = np.arange(0, 16)
+    coarse, fine = diskmodes._scan_angular_mode(ks, params, bc, 250.0, halvings=0)
+    (alone,) = diskmodes._scan_angular_mode(ks, params, bc, 250.0, halvings=1)
+    assert fine.counts.sum() > 0
+    for name in ("k", "lo", "hi", "flo", "fhi", "counts"):
+        a, b = getattr(fine, name), getattr(alone, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert not np.array_equal(coarse.lo, fine.lo)
