@@ -88,9 +88,14 @@ def _grids(params, lam_lo, lam_hi, factors):
 class _ScanPass:
     """Root brackets found by one scan pass over several angular modes.
 
-    Entry i brackets one root of mode ``k[i]`` in [lo[i], hi[i]], where the
-    scaled determinant takes the values flo[i], fhi[i]; lo == hi marks a root
-    already located exactly.  ``counts`` holds the roots per scanned mode.
+    Entry i brackets one root of mode ``k[i]`` in [lo[i], hi[i]]; lo == hi
+    marks a root already located exactly.  flo[i], fhi[i] are the
+    determinant D at the two ends and glo[i], ghi[i] its slopes dD/dL there,
+    all four divided by one scale, the determinant's scale at lo[i]: D over
+    its own scale at each end is not smooth in L, because the scale's
+    envelopes are not, so the ends' slopes would not fit the values.  Exact
+    roots and the brackets of resolved near-double dips have NaN slopes.
+    ``counts`` holds the roots per scanned mode.
     """
 
     k: np.ndarray
@@ -98,12 +103,14 @@ class _ScanPass:
     hi: np.ndarray
     flo: np.ndarray
     fhi: np.ndarray
+    glo: np.ndarray
+    ghi: np.ndarray
     counts: np.ndarray
 
     def brackets_of(self, ks):
-        """(k, lo, hi, flo, fhi) of the entries that belong to the modes ks."""
+        """(k, lo, hi, flo, fhi, glo, ghi) of the entries that belong to the modes ks."""
         sel = np.isin(self.k, ks)
-        return self.k[sel], self.lo[sel], self.hi[sel], self.flo[sel], self.fhi[sel]
+        return tuple(v[sel] for v in (self.k, self.lo, self.hi, self.flo, self.fhi, self.glo, self.ghi))
 
 
 def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
@@ -126,7 +133,7 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
     lanes = np.tile(ks, len(steps))
     starts = np.tile(_scan_floor(ks, params), len(steps))
     grid, owner = _grids(params, starts, lambda_max, np.repeat(steps, ks.size))
-    d, _, sc = _backend.det_grid(lanes[owner], grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
+    d, dd, sc = _backend.det_grid(lanes[owner], grid, params.mu, params.lam, bc is BoundaryCondition.FREE)
     dhat = d / sc
     alive = sc > 1e-200
     same = owner[:-1] == owner[1:]
@@ -136,9 +143,12 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
     last = last[alive[last] & (dhat[last] == 0.0)]
     i_exact = np.concatenate([np.flatnonzero(exact), last])
     i_cross = np.flatnonzero(pair & ~exact & (dhat[:-1] * dhat[1:] < 0.0))
-    rows = [  # (owner, lo, hi, flo, fhi) of every root
-        (owner[i_exact], grid[i_exact], grid[i_exact], np.zeros(i_exact.size), np.zeros(i_exact.size)),
-        (owner[i_cross], grid[i_cross], grid[i_cross + 1], dhat[i_cross], dhat[i_cross + 1]),
+    nan = np.full(i_exact.size, math.nan)
+    s_lo = sc[i_cross]
+    rows = [  # (owner, lo, hi, flo, fhi, glo, ghi) of every root
+        (owner[i_exact], grid[i_exact], grid[i_exact], np.zeros(i_exact.size), np.zeros(i_exact.size), nan, nan),
+        (owner[i_cross], grid[i_cross], grid[i_cross + 1], dhat[i_cross], d[i_cross + 1] / s_lo,
+         dd[i_cross] / s_lo, dd[i_cross + 1] / s_lo),
     ]
     # near-double roots: interior |D| minima below threshold without a sign
     # change get a deflated search (quadratic model of the dip)
@@ -154,13 +164,13 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
     for i in dips:
         k = int(lanes[owner[i]])
         for lo, hi, flo, fhi in _deflated_pair(k, grid[i - 1], grid[i + 1], dhat[i - 1], dhat[i + 1], params, bc):
-            rows.append(([owner[i]], [lo], [hi], [flo], [fhi]))
-    own, lo, hi, flo, fhi = (np.concatenate(col) for col in zip(*rows))
+            rows.append(([owner[i]], [lo], [hi], [flo], [fhi], [math.nan], [math.nan]))
+    own, lo, hi, flo, fhi, glo, ghi = (np.concatenate(col) for col in zip(*rows))
     counts = np.bincount(own, minlength=lanes.size)
     passes = []
     for j in range(len(steps)):
         sel = own // ks.size == j
-        passes.append(_ScanPass(lanes[own[sel]], lo[sel], hi[sel], flo[sel], fhi[sel],
+        passes.append(_ScanPass(lanes[own[sel]], lo[sel], hi[sel], flo[sel], fhi[sel], glo[sel], ghi[sel],
                                 counts[j * ks.size:(j + 1) * ks.size]))
     return tuple(passes)
 
@@ -258,8 +268,8 @@ def disk_spectrum_potential(
     pending = np.arange(k_cap + 1)
     pending = pending[_scan_floor(pending, params) < cutoff]
 
-    # (k, lo, hi, flo, fhi) of the accepted pass of every mode
-    accepted = [(np.empty(0, dtype=np.int64),) + (np.empty(0),) * 4]
+    # (k, lo, hi, flo, fhi, glo, ghi) of the accepted pass of every mode
+    accepted = [(np.empty(0, dtype=np.int64),) + (np.empty(0),) * 6]
     if pending.size:
         coarse, cur = _scan_angular_mode(pending, params, bc, cutoff, halvings=0)
         counts = coarse.counts
@@ -272,8 +282,9 @@ def disk_spectrum_potential(
         accepted.append(cur.brackets_of(pending[settled]))
         pending, counts = pending[~settled], cur.counts[~settled]
 
-    kk, lo, hi, flo, fhi = (np.concatenate(col) for col in zip(*accepted))
-    roots = refine_brackets(lambda x, i: _dhat(kk[i], x, params, bc), lo, hi, flo, fhi, _BISECT_REL_TOL)
+    kk, lo, hi, flo, fhi, glo, ghi = (np.concatenate(col) for col in zip(*accepted))
+    roots = refine_brackets(lambda x, i: _dhat(kk[i], x, params, bc), lo, hi, flo, fhi, _BISECT_REL_TOL,
+                            glo, ghi)
     resid = np.abs(_dhat(kk, roots, params, bc)[0])
     bad = np.flatnonzero(~(resid <= _RESIDUAL_REL))  # a NaN residual certifies nothing
     if bad.size:

@@ -6,8 +6,11 @@ one.  J_0..J_nmax come from one of three regimes, chosen per argument:
 * x <= 0.5: the power series of each order;
 * x >= max(25, 1.5*nmax): the Hankel expansion of J_0 and J_1, then upward
   recurrence;
-* otherwise: Miller backward recurrence from a start order above max(nmax, x),
-  normalised by J_0 + 2*sum J_{2m} = 1.
+* otherwise: Miller backward recurrence from the even start order at or
+  above m0 + 20 + 3*sqrt(m0), m0 = max(nmax, ceil(x)), normalised by
+  J_0 + 2*sum J_{2m} = 1.
+
+An argument outside [0, inf), NaN included, gives a column of NaN.
 
 nmax may differ per argument, and each argument's values depend on nothing
 else in the batch, so a batch gives bit for bit the values of its points
@@ -129,11 +132,14 @@ def _hankel(nmax: int, x: np.ndarray) -> np.ndarray:
 def _miller(nmax: int, x: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Miller backward recurrence, each argument from its own start order; x > 0.5.
 
-    Column i starts above max(top[i], x[i]) and holds zeros until then, so it
-    does not depend on the rest of the batch.
+    Column i starts at m0 + floor(20 + 3*sqrt(m0)), rounded up to even, with
+    m0 = max(top[i], ceil(x[i])), and holds zeros until then, so it does not
+    depend on the rest of the batch.  The margin grows with m0: a fixed one
+    (max(top + 16, x + 20 + 3*sqrt(x))) loses accuracy where top is near
+    1.3*x, to 4.7e-13 at order 201 and x = 158.
     """
     m0 = np.maximum(top, np.ceil(x).astype(np.int64))
-    start = m0 + np.sqrt(160.0 * np.maximum(m0, 8)).astype(np.int64) + 12
+    start = m0 + (20.0 + 3.0 * np.sqrt(m0)).astype(np.int64)
     start += start & 1
     first = int(start.max())
     wait = first - start  # steps before a column begins; below 2**16, so radix-sorted
@@ -155,8 +161,8 @@ def _miller(nmax: int, x: np.ndarray, top: np.ndarray) -> np.ndarray:
             out[m - 1] = jc
         if (m - 1) % 2 == 0 and m > 1:
             half += jc
-        # one step grows |J| by at most 2m/x + 1 < 2.2e3 (x > 0.5, m < 540
-        # for orders up to 201), so eight steps stay below 1e277 from 1e250
+        # one step grows |J| by at most 2m/x + 1 < 1.6e3 (x > 0.5, m <= 374
+        # for orders up to 201), so eight steps stay below 1e276 from 1e250
         if m % 8 == 0:
             big = np.abs(jc) > 1e250
             if big.any():
@@ -174,16 +180,19 @@ def jn_table(nmax, x) -> np.ndarray:
 
     ``nmax`` is one top order for every argument or one per argument; the
     table has max(nmax) + 1 rows, and rows above a column's own top order
-    hold no meaningful value.  Column i depends only on x[i] and nmax[i].
+    hold no meaningful value.  Column i depends only on x[i] and nmax[i];
+    an x[i] outside [0, inf), NaN included, gives a column of NaN.
     """
     x = np.asarray(x, dtype=float).ravel()
     top = np.broadcast_to(np.asarray(nmax, dtype=np.int64), x.shape)
     nmax = int(np.max(nmax, initial=0))
     out = np.zeros((nmax + 1, x.size))
     out[0, x == 0.0] = 1.0
+    finite = x < math.inf  # False for NaN too
+    out[:, ~(finite & (x >= 0.0))] = math.nan
     series = (x > 0.0) & (x <= 0.5)
-    hankel = (x >= _ASYM_CUT) & (x >= 1.5 * top)
-    miller = (x > 0.5) & ~hankel
+    hankel = (x >= _ASYM_CUT) & (x >= 1.5 * top) & finite
+    miller = (x > 0.5) & ~hankel & finite
     if series.any():
         out[:, series] = _series(nmax, x[series])
     if hankel.any():

@@ -34,7 +34,9 @@ def bessel_j_prime(k: int, x: float) -> float:
 
 
 def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
-    """Array [J_0(x), ..., J_nmax(x)] in one backward-recurrence pass."""
+    """Array [J_0(x), ..., J_nmax(x)]: one backward-recurrence pass for
+    0.5 < x < max(25, 1.5*nmax), the Hankel expansion of J_0 and J_1 and
+    upward recurrence above, the power series at or below x = 0.5."""
     _check(nmax, x)
     return _backend.jn_table(int(nmax), [float(x)]).ravel()
 
@@ -45,9 +47,10 @@ def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:
     An array of orders gives one row of m zeros per order.  Every order gets
     a unit-step grid from below its first zero up to (m + k/2)*pi, which lies
     above j_{k,m}; zeros of J_k are more than 3 apart, so each sign change on
-    a grid brackets one zero.  All grids are evaluated in one call, and all
-    brackets are refined in lockstep by safeguarded Newton steps, each step
-    taking J_k and J_k' from one table.
+    a grid brackets one zero.  All grids are evaluated in one call (J_k and
+    J_k' from one table), and all brackets are refined in lockstep by
+    safeguarded Newton steps, each from the Hermite root of its ends' J_k and
+    J_k' and each step taking J_k and J_k' from one table.
 
     With ``below``, only zeros up to that cutoff are made: each grid also
     stops at its first point at or past the cutoff, and the row entries past
@@ -72,7 +75,7 @@ def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:
         n = np.minimum(n, n_below)
     owner = np.repeat(np.arange(kk.size), n)
     x = x0[owner] + (np.arange(owner.size) - (np.cumsum(n) - n)[owner])
-    f = _backend.jk_pairs(kk[owner], x)[0]
+    f, fp = _backend.jk_pairs(kk[owner], x)
     cross = np.flatnonzero((owner[:-1] == owner[1:]) & (f[:-1] * f[1:] < 0.0))
     found = np.bincount(owner[cross], minlength=kk.size)
     if np.any(full & (found < m)):
@@ -84,7 +87,7 @@ def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:
     # the last Newton step, at most 1e-10 relative, leaves an error near
     # 1e-20 relative (J''/J' = -1/x at a zero)
     roots = refine_brackets(lambda x, i: _backend.jk_pairs(kz[i], x), x[cross], x[cross + 1],
-                            f[cross], f[cross + 1], 1e-10)
+                            f[cross], f[cross + 1], 1e-10, fp[cross], fp[cross + 1])
     if below is not None:
         roots[roots > below] = math.inf  # the last bracket of a grid may end past the cutoff
     zeros = np.full((kk.size, m), math.inf)

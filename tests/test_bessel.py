@@ -1,6 +1,7 @@
 """Bessel J, derivatives and zeros against independent oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -203,8 +204,9 @@ def test_zeros_below_a_cutoff_match_the_count_form():
 
 
 def test_disk_zero_table_refines_in_few_table_calls(monkeypatch):
-    # Newton with (J_k, J_k') from one table per step: after the grid, the
-    # zeros of disk_dirichlet_spectrum(1, 800) take at most 5 jk_pairs calls
+    # Newton with (J_k, J_k') from one table per step, from the Hermite root
+    # of the grid's J_k and J_k': after the grid, the zeros of
+    # disk_dirichlet_spectrum(1, 800) take at most 3 jk_pairs calls
     from elastica.fem.analytic import disk_dirichlet_spectrum
     from elastica.specfun import _backend
 
@@ -212,7 +214,7 @@ def test_disk_zero_table_refines_in_few_table_calls(monkeypatch):
     jk_pairs = _backend.jk_pairs
     monkeypatch.setattr(_backend, "jk_pairs", lambda k, x: calls.append(np.size(x)) or jk_pairs(k, x))
     disk_dirichlet_spectrum(1.0, 800.0)
-    assert 2 <= len(calls) <= 1 + 5
+    assert 2 <= len(calls) <= 1 + 3
 
 
 def test_zero_table_raises_without_enough_brackets(monkeypatch):
@@ -246,6 +248,57 @@ def test_jn_table_batch_equals_points_alone():
     assert batch.shape == (tops.max() + 1, xs.size)
     for i, (top, x) in enumerate(zip(tops, xs)):
         assert np.array_equal(batch[: top + 1, i], jn_table(int(top), [x])[:, 0]), (top, x)
+
+
+def _miller_errors(tops, points, rows_of):
+    """Worst error of jn_table(top, x) against mpmath at 40 digits, over x in
+    the Miller regime (0.5, max(25, 1.5*top)) and the rows rows_of(top):
+    relative to max(|J_n|, sqrt(2/(pi x))) for n < x, else to |J_n|."""
+    from elastica.specfun._backend import jn_table
+
+    worst = 0.0
+    with mp.workdps(40):
+        for top in tops:
+            xs = np.linspace(0.5, max(25.0, 1.5 * top), points + 2)[1:-1]
+            table = jn_table(top, xs)
+            for n in rows_of(top):
+                for x, got in zip(xs.tolist(), table[n]):
+                    ref = float(mp.besselj(n, mp.mpf(x)))
+                    scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x))) if n < x else abs(ref)
+                    if scale > 1e-290:  # a J_n that underflows has no relative error
+                        worst = max(worst, abs(got - ref) / scale)
+    return worst
+
+
+def test_miller_start_order_holds_full_accuracy():
+    # the start order m0 + 20 + 3*sqrt(m0) is deep enough: m0 + 60 reads 4e-13
+    # near x = 289 at top = 201.  The bound holds on these grids, not at
+    # every x: near x = 300 at top = 201 the recurrence's own rounding reaches
+    # 1.7e-14 from any start order, 200 orders deeper too
+    tops = list(range(64)) + [80, 120, 201]
+    assert _miller_errors(tops, 97, lambda top: [top]) <= 1e-14
+    assert _miller_errors([201], 12, lambda top: range(top + 1)) <= 1e-14
+
+
+def test_jn_table_argument_outside_its_domain_gives_nan():
+    from elastica.specfun._backend import jk_pairs, jn_table
+
+    xs = np.array([-1.0, math.nan, 1.0, -math.inf, 0.0, math.inf, -1e-300, 30.0, 0.25])
+    bad = np.array([True, True, False, True, False, True, True, False, False])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nmax in (0, 3, np.array([3, 0, 5, 2, 1, 4, 6, 3, 2])):
+            t = jn_table(nmax, xs)
+            assert np.all(np.isnan(t[:, bad]))
+            assert not np.any(np.isnan(t[:, ~bad]))
+            for i in np.flatnonzero(~bad):
+                top = int(np.broadcast_to(nmax, xs.shape)[i])
+                assert np.array_equal(t[:top + 1, i], jn_table(top, [xs[i]])[:, 0])
+            assert t[0, 4] == 1.0 and np.all(t[1:, 4] == 0.0)  # x = 0 stays exact
+        j, jd = jk_pairs(2, xs)
+    assert np.array_equal(np.isnan(j), bad) and np.array_equal(np.isnan(jd), bad)
+    with pytest.raises(RangeError):
+        bessel_j(0, math.nan)
 
 
 def test_det_grid_order_per_point_equals_one_order_at_a_time():

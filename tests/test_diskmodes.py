@@ -242,8 +242,9 @@ def test_smallest_k0_shear_root():
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
 @pytest.mark.parametrize("lam", [0.0, 1.0, 3.0])
 def test_refinement_takes_few_lockstep_determinant_calls(lam, bc, monkeypatch):
-    # the potential_sweep spectra: Newton with dD/dL refines all brackets of a
-    # spectrum in at most 6 lockstep det_grid calls
+    # the potential_sweep spectra: Newton with dD/dL, from the Hermite root of
+    # the scan's values and slopes, refines all brackets of a spectrum in at
+    # most 3 lockstep det_grid calls
     from elastica import diskmodes
 
     calls = []
@@ -259,7 +260,7 @@ def test_refinement_takes_few_lockstep_determinant_calls(lam, bc, monkeypatch):
 
     monkeypatch.setattr(diskmodes, "refine_brackets", counted_refine)
     disk_spectrum_potential(LameParams(1.0, lam), bc, lambda_max=250.0)
-    assert len(during) == 1 and 1 <= during[0] <= 6
+    assert len(during) == 1 and 1 <= during[0] <= 3
 
 
 def test_residual_certificates():
@@ -489,7 +490,7 @@ def test_first_call_returns_the_verification_pass_of_a_call_alone(bc, lam):
     coarse, fine = diskmodes._scan_angular_mode(ks, params, bc, 250.0, halvings=0)
     (alone,) = diskmodes._scan_angular_mode(ks, params, bc, 250.0, halvings=1)
     assert fine.counts.sum() > 0
-    for name in ("k", "lo", "hi", "flo", "fhi", "counts"):
+    for name in ("k", "lo", "hi", "flo", "fhi", "glo", "ghi", "counts"):
         a, b = getattr(fine, name), getattr(alone, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert not np.array_equal(coarse.lo, fine.lo)

@@ -150,8 +150,9 @@ _REFINE_CASES = (  # (function, slope, a, b)
 _REFINE_ROOTS = [math.pi / 2, 0.25 ** (1 / 9), 2.0, 0.3]
 
 
-def _refine_cases(slope_of=None, trace=None):
+def _refine_cases(slope_of=None, trace=None, end_slope_of=None):
     """refine_brackets over _REFINE_CASES; slope_of(true slope) replaces the
+    slopes, end_slope_of(true end slopes), if given, are passed as the end
     slopes, and trace collects (bracket, iterate, value) of every evaluation."""
     from elastica.specfun.roots import refine_brackets
 
@@ -167,7 +168,24 @@ def _refine_cases(slope_of=None, trace=None):
     idx = np.arange(a.size)
     fa = np.array([c[0](x) for c, x in zip(_REFINE_CASES, a)])
     fb = np.array([c[0](x) for c, x in zip(_REFINE_CASES, b)])
-    return refine_brackets(f, a, b, fa, fb, 1e-12)
+    ga = gb = None
+    if end_slope_of is not None:
+        ga = end_slope_of(np.array([c[1](x) for c, x in zip(_REFINE_CASES, a)], dtype=float))
+        gb = end_slope_of(np.array([c[1](x) for c, x in zip(_REFINE_CASES, b)], dtype=float))
+    return refine_brackets(f, a, b, fa, fb, 1e-12, ga, gb)
+
+
+def _assert_iterates_inside(trace, roots):
+    """Every traced iterate lies inside its bracket as the signs shrink it."""
+    lo = np.array([c[2] for c in _REFINE_CASES])
+    hi = np.array([c[3] for c in _REFINE_CASES])
+    sign_lo = np.sign([c[0](c[2]) for c in _REFINE_CASES])
+    for i, x, fx in trace:
+        assert np.all((lo[i] <= x) & (x <= hi[i]))
+        right = np.sign(fx) == sign_lo[i]
+        lo[i] = np.where(right, x, lo[i])
+        hi[i] = np.where(right, hi[i], x)
+    assert np.all(lo <= roots) and np.all(roots <= hi)
 
 
 def test_refine_brackets_lockstep():
@@ -178,30 +196,46 @@ def test_refine_brackets_lockstep():
     assert len(trace) <= 12
 
 
-@pytest.mark.parametrize("bad", ["zero", "nan", "wrong_sign", "huge", "inf"])
+def test_refine_brackets_from_end_slopes():
+    # the Hermite start from the ends' slopes saves lockstep calls
+    without, trace = [], []
+    _refine_cases(trace=without)
+    roots = _refine_cases(trace=trace, end_slope_of=lambda g: g)
+    assert np.allclose(roots, _REFINE_ROOTS, rtol=1e-12, atol=0.0)
+    assert len(trace) < len(without)
+    _assert_iterates_inside(trace, roots)
+
+
+_BAD_SLOPES = {
+    "zero": np.zeros_like,
+    "nan": lambda g: np.full_like(g, np.nan),
+    "wrong_sign": np.negative,
+    "huge": lambda g: np.full_like(g, 1e300),
+    "inf": lambda g: np.full_like(g, np.inf),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_SLOPES))
 def test_refine_brackets_survives_bad_slopes(bad):
     # a slope that is zero, NaN, of the wrong sign, 1e300 or inf leaves every
     # iterate inside its bracket, and bisection still converges; the last two
     # give Newton steps too small to move, which must not end a bracket
-    slope_of = {
-        "zero": np.zeros_like,
-        "nan": lambda g: np.full_like(g, np.nan),
-        "wrong_sign": np.negative,
-        "huge": lambda g: np.full_like(g, 1e300),
-        "inf": lambda g: np.full_like(g, np.inf),
-    }[bad]
     trace = []
-    roots = _refine_cases(slope_of, trace)
+    roots = _refine_cases(_BAD_SLOPES[bad], trace)
     assert np.allclose(roots, _REFINE_ROOTS, rtol=1e-12, atol=0.0)
-    lo = np.array([c[2] for c in _REFINE_CASES])
-    hi = np.array([c[3] for c in _REFINE_CASES])
-    sign_lo = np.sign([c[0](c[2]) for c in _REFINE_CASES])
-    for i, x, fx in trace:
-        assert np.all((lo[i] <= x) & (x <= hi[i])), bad
-        right = np.sign(fx) == sign_lo[i]
-        lo[i] = np.where(right, x, lo[i])
-        hi[i] = np.where(right, hi[i], x)
-    assert np.all(lo <= roots) and np.all(roots <= hi)
+    _assert_iterates_inside(trace, roots)
+
+
+@pytest.mark.parametrize("bad", list(_BAD_SLOPES))
+def test_refine_brackets_survives_bad_end_slopes(bad):
+    # bad end slopes give a Hermite start that is NaN, outside the bracket, or
+    # inside it but poor: the start falls back or costs steps, not accuracy,
+    # with true slopes along the way and with the same bad slopes
+    for slope_of in (None, _BAD_SLOPES[bad]):
+        trace = []
+        roots = _refine_cases(slope_of, trace, end_slope_of=_BAD_SLOPES[bad])
+        assert np.allclose(roots, _REFINE_ROOTS, rtol=1e-12, atol=0.0), slope_of
+        _assert_iterates_inside(trace, roots)
 
 
 def test_refine_brackets_one_bracket_alone_equals_it_in_a_batch():
@@ -214,14 +248,17 @@ def test_refine_brackets_one_bracket_alone_equals_it_in_a_batch():
     m = np.array([1, 2, 1, 3, 1, 2, 4])  # brackets around the zeros j_{k,m}
     a = np.array([math.floor(sps.jn_zeros(kj, mj)[-1]) for kj, mj in zip(k, m)], dtype=float)
     b = a + 1.0
-    fa, fb = jk_pairs(k, a)[0], jk_pairs(k, b)[0]
+    (fa, ga), (fb, gb) = jk_pairs(k, a), jk_pairs(k, b)
     assert np.all(fa * fb < 0.0)
     f = lambda x, i: jk_pairs(k[i], x)
-    batch = refine_brackets(f, a, b, fa, fb, 1e-10)
-    for j in range(k.size):
-        alone = refine_brackets(lambda x, i: jk_pairs(k[j], x), a[j:j + 1], b[j:j + 1],
-                                fa[j:j + 1], fb[j:j + 1], 1e-10)
-        assert np.array_equal(alone, batch[j:j + 1]), j
+    for slopes in (False, True):  # the secant start, and the Hermite start from end slopes
+        ends = (ga, gb) if slopes else (None, None)
+        batch = refine_brackets(f, a, b, fa, fb, 1e-10, *ends)
+        for j in range(k.size):
+            one = slice(j, j + 1)
+            alone = refine_brackets(lambda x, i: jk_pairs(k[j], x), a[one], b[one], fa[one], fb[one], 1e-10,
+                                    *(e if e is None else e[one] for e in ends))
+            assert np.array_equal(alone, batch[one]), (slopes, j)
 
 
 def test_contour_cauchy():
