@@ -19,17 +19,17 @@ def _hermite_root(a, b, fa, fb, ga, gb):
     return a + t * h
 
 
-def refine_brackets(f, a, b, fa, fb, rtol: float, ga=None, gb=None):
+def refine_brackets(f, a, b, fa, fb, rtol: float, ga, gb):
     """Roots of many brackets at once by Newton's method, kept inside each bracket.
 
     ``f(x, i)`` returns the values and the slopes (two arrays) of the
     functions of brackets ``i`` at points ``x``; ``fa`` and ``fb`` are the
     values at the ends, of opposite signs or zero, and ``ga``, ``gb`` the
-    slopes there, if known.  Each bracket starts at the root of the cubic
-    Hermite interpolant of its ends' values and slopes (the four end data
-    need only share one positive scale); without slopes, or where that root
-    is not finite or not strictly inside, at the secant point of its ends
-    (its midpoint if that point is not inside).  It then takes Newton steps;
+    slopes there.  Each bracket starts at the root of the cubic Hermite
+    interpolant of its ends' values and slopes (the four end data need only
+    share one positive scale); where that root is not finite or not strictly
+    inside (a NaN slope gives that), at the secant point of its ends (its
+    midpoint if that point is not inside).  It then takes Newton steps;
     as in Numerical Recipes' ``rtsafe``, it bisects instead whenever a
     Newton step would leave the bracket or fails to halve the previous step.
     A bracket is done when an iterate is an exact zero, when the bracket is
@@ -38,15 +38,15 @@ def refine_brackets(f, a, b, fa, fb, rtol: float, ga=None, gb=None):
     is then returned unevaluated.  A bracket of zero width is its own root.
     A slope that is zero, NaN, of the wrong sign or far too large costs
     bisections, not accuracy: the halving rule catches the equal tiny steps
-    of a huge slope, and a first Newton step never ends a bracket.  Each bracket's iterates depend on nothing else in the batch.
+    of a huge slope, and a first Newton step never ends a bracket.  Each
+    bracket's iterates depend on nothing else in the batch.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         secant = a - fa * (b - a) / (fb - fa)
         root = np.where((secant > a) & (secant < b), secant, 0.5 * (a + b))
-        if ga is not None:
-            hermite = _hermite_root(a, b, fa, fb, np.asarray(ga, dtype=float), np.asarray(gb, dtype=float))
-            root = np.where((hermite > a) & (hermite < b), hermite, root)
+        hermite = _hermite_root(a, b, fa, fb, np.asarray(ga, dtype=float), np.asarray(gb, dtype=float))
+        root = np.where((hermite > a) & (hermite < b), hermite, root)
     root[fa == 0.0] = a[fa == 0.0]
     root[fb == 0.0] = b[fb == 0.0]
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0) & (b - a > rtol * np.abs(root)))

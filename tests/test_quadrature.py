@@ -150,10 +150,11 @@ _REFINE_CASES = (  # (function, slope, a, b)
 _REFINE_ROOTS = [math.pi / 2, 0.25 ** (1 / 9), 2.0, 0.3]
 
 
-def _refine_cases(slope_of=None, trace=None, end_slope_of=None):
+def _refine_cases(slope_of=None, trace=None, end_slope_of=lambda g: np.full_like(g, np.nan)):
     """refine_brackets over _REFINE_CASES; slope_of(true slope) replaces the
-    slopes, end_slope_of(true end slopes), if given, are passed as the end
-    slopes, and trace collects (bracket, iterate, value) of every evaluation."""
+    slopes, end_slope_of(true end slopes) gives the end slopes (NaN, for the
+    secant start, by default), and trace collects (bracket, iterate, value)
+    of every evaluation."""
     from elastica.specfun.roots import refine_brackets
 
     def f(x, i):
@@ -168,10 +169,8 @@ def _refine_cases(slope_of=None, trace=None, end_slope_of=None):
     idx = np.arange(a.size)
     fa = np.array([c[0](x) for c, x in zip(_REFINE_CASES, a)])
     fb = np.array([c[0](x) for c, x in zip(_REFINE_CASES, b)])
-    ga = gb = None
-    if end_slope_of is not None:
-        ga = end_slope_of(np.array([c[1](x) for c, x in zip(_REFINE_CASES, a)], dtype=float))
-        gb = end_slope_of(np.array([c[1](x) for c, x in zip(_REFINE_CASES, b)], dtype=float))
+    ga = end_slope_of(np.array([c[1](x) for c, x in zip(_REFINE_CASES, a)], dtype=float))
+    gb = end_slope_of(np.array([c[1](x) for c, x in zip(_REFINE_CASES, b)], dtype=float))
     return refine_brackets(f, a, b, fa, fb, 1e-12, ga, gb)
 
 
@@ -251,13 +250,13 @@ def test_refine_brackets_one_bracket_alone_equals_it_in_a_batch():
     (fa, ga), (fb, gb) = jk_pairs(k, a), jk_pairs(k, b)
     assert np.all(fa * fb < 0.0)
     f = lambda x, i: jk_pairs(k[i], x)
-    for slopes in (False, True):  # the secant start, and the Hermite start from end slopes
-        ends = (ga, gb) if slopes else (None, None)
+    for slopes in (False, True):  # the secant start from NaN slopes, and the Hermite start
+        ends = (ga, gb) if slopes else (np.full_like(ga, np.nan), np.full_like(gb, np.nan))
         batch = refine_brackets(f, a, b, fa, fb, 1e-10, *ends)
         for j in range(k.size):
             one = slice(j, j + 1)
             alone = refine_brackets(lambda x, i: jk_pairs(k[j], x), a[one], b[one], fa[one], fb[one], 1e-10,
-                                    *(e if e is None else e[one] for e in ends))
+                                    *(e[one] for e in ends))
             assert np.array_equal(alone, batch[one]), (slopes, j)
 
 
