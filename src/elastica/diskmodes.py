@@ -301,118 +301,3 @@ def disk_spectrum_potential(
         roots, mults, tags = np.append(0.0, roots), np.append(3, mults), ["k0_rigid"] + tags
     return Spectrum(domain=UNIT_DISK, bc=bc, params=params, eigenvalues=roots, multiplicities=mults,
                     mode_tags=tags, lambda_max=cutoff, method=Method.POTENTIAL, meta={"k_max": str(k_max)})
-
-
-@dataclass(frozen=True)
-class PdeCheck:
-    """Pointwise verification of a reconstructed mode.
-
-    ``pde_residual`` is max |Pu - Lambda u| / (Lambda max|u|) over the grid;
-    ``curl_p`` and ``div_s`` are the finite-difference curl of the
-    compressional part and divergence of the shear part, scaled by the
-    part's own amplitude times its wavenumber.
-    """
-
-    pde_residual: float
-    curl_p: float
-    div_s: float
-
-
-def _mode_amplitudes(k, lam_ev, params, bc):
-    """Nontrivial (A, B) from the boundary matrix null space: (i*m12, -m11) of
-    the first row, or (m22, -i*m21) of the second when its entries are larger."""
-    free = bc is BoundaryCondition.FREE
-    m11, m12, m21, m22, _ = (x[0] for x in _backend.boundary_matrix(k, [lam_ev], params.mu, params.lam, free))
-    if max(abs(m11), abs(m12)) >= max(abs(m21), abs(m22)):
-        a_amp, b_amp = 1j * m12, -m11
-    else:
-        a_amp, b_amp = m22, -1j * m21
-    if a_amp == 0.0 and b_amp == 0.0:
-        return 1.0 + 0.0j, 1.0 + 0.0j
-    return a_amp, b_amp
-
-
-def _profiles(k, p, s, r):
-    """J_k and J_k' at p*r and s*r over the grid, from one table."""
-    j, jd = _backend.jk_pairs(k, np.concatenate([p * r, s * r]))
-    n = r.size
-    return j[:n], jd[:n], j[n:], jd[n:]
-
-
-_D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-
-
-def _deriv(f, h, coeffs):
-    out = np.zeros_like(f)
-    m = len(coeffs) // 2
-    for off, c in enumerate(coeffs, start=-m):
-        if c != 0.0:
-            out[m:-m] += c * np.roll(f, -off)[m:-m]
-    return out / h ** (1 if coeffs is _D1 else 2)
-
-
-def verify_mode_pde(
-    k: int,
-    lam_ev: float,
-    params: LameParams,
-    bc: BoundaryCondition = BoundaryCondition.DIRICHLET,
-    grid: int = 2048,
-    r_max: float = 1.0,
-) -> PdeCheck:
-    """Apply the flat Navier operator to the reconstructed mode by finite differences.
-
-    The angular dependence e^{i k theta} is analytic, so the operator reduces
-    to radial derivatives, taken with 6th-order central stencils on
-    [0.05*r_max, r_max]; edges of the stencil are excluded from the max.
-    The mode is given by its angular order k and eigenvalue lam_ev; lam_ev = 0
-    is a rigid motion, which the check passes trivially.
-    """
-    if lam_ev == 0.0:
-        return PdeCheck(0.0, 0.0, 0.0)
-    p = math.sqrt(lam_ev / params.pressure_speed2)
-    s = math.sqrt(lam_ev / params.mu)
-    a_amp, b_amp = _mode_amplitudes(k, lam_ev, params, bc)
-    r = np.linspace(0.05 * r_max, r_max, grid)
-    h = r[1] - r[0]
-    jp, jpp, js, jsp = _profiles(k, p, s, r)
-    ik = 1j * k
-    # compressional part (grad psi1) and shear part (curl z psi2)
-    urp = a_amp * p * jpp
-    utp = a_amp * ik * jp / r
-    urs = b_amp * ik * js / r
-    uts = -b_amp * s * jsp
-    ur = urp + urs
-    ut = utp + uts
-    scale = max(np.max(np.abs(ur)), np.max(np.abs(ut)))
-
-    mu, ml = params.mu, params.lam
-    m = len(_D1) // 2
-    sl = slice(m, -m)
-
-    def navier(fr, ft):
-        div = _deriv(fr, h, _D1) + fr / r + ik * ft / r
-        lap_r = _deriv(fr, h, _D2) + _deriv(fr, h, _D1) / r - (k * k) * fr / r**2
-        lap_t = _deriv(ft, h, _D2) + _deriv(ft, h, _D1) / r - (k * k) * ft / r**2
-        vr = lap_r - fr / r**2 - 2.0 * ik * ft / r**2
-        vt = lap_t - ft / r**2 + 2.0 * ik * fr / r**2
-        pr = -mu * vr - (mu + ml) * _deriv(div, h, _D1)
-        pt = -mu * vt - (mu + ml) * ik * div / r
-        return pr, pt
-
-    pr, pt = navier(ur, ut)
-    inner = slice(2 * m, -2 * m)  # div is itself a derivative; drop its edge band too
-    resid = max(
-        np.max(np.abs(pr[inner] - lam_ev * ur[inner])),
-        np.max(np.abs(pt[inner] - lam_ev * ut[inner])),
-    ) / (lam_ev * scale)
-
-    curl_p = np.abs(_deriv(r * utp, h, _D1) / r - ik * urp / r)[sl]
-    scale_p = max(np.max(np.abs(urp)), np.max(np.abs(utp)), 1e-300) * max(p, 1.0)
-    div_s = np.abs(_deriv(urs, h, _D1) + urs / r + ik * uts / r)[sl]
-    scale_s = max(np.max(np.abs(urs)), np.max(np.abs(uts)), 1e-300) * max(s, 1.0)
-    return PdeCheck(
-        pde_residual=float(resid),
-        curl_p=float(np.max(curl_p) / scale_p),
-        div_s=float(np.max(div_s) / scale_s),
-    )

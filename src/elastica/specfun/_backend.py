@@ -276,9 +276,12 @@ def boundary_matrix(k, lams, mu: float, lam: float, free: bool):
 
     ``k`` is one angular order for the whole grid or one order per point;
     p = sqrt(L/(lam+2mu)), s = sqrt(L/mu).  The columns belong to the
-    compressional and shear potentials, the rows to (u_r, u_theta) clamped
-    and to (sigma_rr, sigma_rtheta) free.  The scale uses the envelopes
-    max(|J_k|, |J_k'|), so D/scale stays O(local amplitude) at roots.
+    amplitudes (A, B) of u = grad(psi1) + curl(z psi2) with
+    psi1 = A J_k(pr) e^{ik theta} and psi2 = B J_k(sr) e^{ik theta}.  The rows
+    are (u_r, u_theta) at r = 1 clamped and (sigma_rr, sigma_rtheta)/mu at
+    r = 1 free: the traction over the factor mu, no other scaling.  The scale
+    uses the envelopes max(|J_k|, |J_k'|), so D/scale stays O(local
+    amplitude) at roots.
     """
     m, _, sc = _matrix_and_slopes(k, lams, mu, lam, free)
     return (*m, sc)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpectrumIOError
-from .params import BoundaryCondition, DomainGeometry, DomainName, LameParams
+from .params import BoundaryCondition, DomainGeometry, DomainName, LameParams, check_cutoff
 
 
 class Method(enum.Enum):
@@ -43,6 +43,7 @@ class Spectrum:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_cutoff(self.lambda_max)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         self.multiplicities = np.asarray(self.multiplicities, dtype=int)
         n = self.eigenvalues.size

@@ -314,6 +314,21 @@ def test_fit_bad_or_empty_spectrum_file_exit3(tmp_path, capsys, rows, model):
     assert "error" in capsys.readouterr().err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("model", ["heat", "counting"])
+@pytest.mark.parametrize("cut", ["nan", "inf", "0.0", "-5.0"])
+def test_fit_non_finite_or_non_positive_cutoff_file_exit3(tmp_path, capsys, cut, model):
+    # an infinite cutoff would admit every heat t, and its report could not be
+    # written as strict JSON
+    spath = tmp_path / "cut.csv"
+    spath.write_text(_PREAMBLE.format(cut=cut) + "0,20.0,1,x\n1,40.0,1,y\n")
+    out = tmp_path / "fit.json"
+    rc = run(["fit", "--spectrum", str(spath), "--model", model, "--out", str(out)])
+    assert rc == 3
+    assert "lambda_max must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_counting_without_admissible_t_writes_null(tmp_path, capsys):
     # a disk cut 1e-3 above its first eigenvalue 11.3221 (multiplicity 2): the
     # counting fit runs, but no heat t passes the tail test, so
@@ -427,6 +442,33 @@ def test_verify_failure_exit1(monkeypatch, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "residue: FAIL" in out
+
+
+@pytest.mark.parametrize("name, field, failing", [("to_heat_coeffs", "a_tilde", "interior"),
+                                                  ("to_heat_coeffs", "b_tilde_plus", "boundary"),
+                                                  ("trace_q2", None, "residue")])
+def test_verify_fails_on_a_closed_form_off_by_one_part_in_a_million(monkeypatch, capsys, name, field,
+                                                                    failing):
+    # each check compares its integral with a closed form: one off by 1e-6
+    # relative fails that check's suite and Proposition 7.1, and no other suite
+    import dataclasses
+
+    import elastica.symbolcheck as symbolcheck
+
+    exact = getattr(symbolcheck, name)
+    if field is None:
+        def wrong(*a, **k):
+            return exact(*a, **k) * (1.0 + 1e-6)
+    else:
+        def wrong(*a, **k):
+            h = exact(*a, **k)
+            return dataclasses.replace(h, **{field: getattr(h, field) * (1.0 + 1e-6)})
+    monkeypatch.setattr(symbolcheck, name, wrong)
+    rc = run(["verify", "--suite", "all", "--mu", "1", "--lambda", "1"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    for suite in ("residue", "interior", "boundary", "prop71"):
+        assert f"{suite}: {'FAIL' if suite in (failing, 'prop71') else 'PASS'}" in out
 
 
 @pytest.mark.parametrize("suite", ["residue", "all"])

@@ -1,4 +1,4 @@
-"""Disk potential-method modes: determinants, scans, and PDE verification."""
+"""Disk potential-method modes: determinants, scans, and boundary tractions."""
 
 import math
 from collections import namedtuple
@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sps
 from scipy.optimize import brentq
 
-from elastica.diskmodes import disk_spectrum_potential, verify_mode_pde
+from elastica.diskmodes import disk_spectrum_potential
 from elastica.errors import DegenerateDecompositionError, ParameterDomainError, SolverError
 from elastica.params import BoundaryCondition as BC
 from elastica.params import LameParams
@@ -99,24 +99,50 @@ def test_det_grid_equals_the_written_out_determinants(lam, free):
     assert np.array_equal(sc, sc2) and np.array_equal(d, m11 * m22 + m12 * m21)
 
 
-@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
-@pytest.mark.parametrize("k", [0, 1, 5, 20])
-def test_mode_amplitudes_span_the_boundary_null_space(k, bc):
-    # at a root refined to 1e-12 relative the matrix is singular only to about
-    # 1e-11 of its entries; the amplitudes are the null vector of its larger
-    # row, so |M v| = |D| and |M v| / |v| <= 2 sigma_min(M)
-    from elastica.diskmodes import _mode_amplitudes
+def _free_traction(k, lam_ev, params, h=1e-3):
+    """max(|sigma_rr|, |sigma_rtheta|) at r = 1 of the field the free boundary
+    matrix picks out at trial eigenvalue lam_ev, over the field's own size.
 
-    roots = [m.lam for m in _modes(P11, bc, 3000.0) if m.k == k]
-    assert len(roots) >= 10
-    for lam_ev in roots:
-        m11, m12, m21, m22, _ = (x[0] for x in _backend.boundary_matrix(k, [lam_ev], 1.0, 1.0, bc is BC.FREE))
-        mat = np.array([[m11, 1j * m12], [1j * m21, m22]])
-        v = np.array(_mode_amplitudes(k, lam_ev, P11, bc))
-        resid = np.linalg.norm(mat @ v) / np.linalg.norm(v)
-        sigma_min = np.linalg.svd(mat, compute_uv=False)[-1]
-        assert resid <= 2.0 * sigma_min + 1e-15 * np.abs(mat).max()
-        assert resid <= 1e-10 * np.abs(mat).max()
+    u = grad(psi1) + curl(z psi2), psi1 = A J_k(pr) e^{ik theta} and
+    psi2 = B J_k(sr) e^{ik theta}, with (A, B) the null vector of the larger
+    row of the matrix.  The stresses are built from u alone (d/dr by a
+    5-point stencil on r = 1 + j h, j = -2..2), not from the matrix entries.
+    """
+    mu, lam = params.mu, params.lam
+    m11, m12, m21, m22, _ = (x[0] for x in _backend.boundary_matrix(k, [lam_ev], mu, lam, True))
+    if max(abs(m11), abs(m12)) >= max(abs(m21), abs(m22)):
+        a, b = 1j * m12, -m11
+    else:
+        a, b = m22, -1j * m21
+    p, s = math.sqrt(lam_ev / (lam + 2.0 * mu)), math.sqrt(lam_ev / mu)
+    r = 1.0 + h * np.arange(-2, 3)
+    (jp, jpd), (js, jsd) = _backend.jk_pairs(k, p * r), _backend.jk_pairs(k, s * r)
+    ik = 1j * k
+    ur = a * p * jpd + (ik / r) * b * js
+    ut = (ik / r) * a * jp - b * s * jsd
+    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    dur, dut = d1 @ ur, d1 @ ut
+    srr = lam * (dur + ur[2] + ik * ut[2]) + 2.0 * mu * dur
+    srt = mu * (ik * ur[2] + dut - ut[2])
+    envelope = np.abs(np.concatenate([jp, jpd, js, jsd])).max()
+    return max(abs(srr), abs(srt)) / ((lam + 2.0 * mu) * (abs(a) * p * p + abs(b) * s * s) * envelope)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 3.0])
+def test_free_boundary_entries_are_the_traction_of_the_potential_field(lam):
+    # the traction vanishes at every free root and not halfway between two
+    # roots of one mode, so a wrong free entry fails here; a residual of the
+    # Navier equation inside the disk cannot, as each potential solves it at
+    # every trial eigenvalue.  Clamped rows are u(1) itself, no stencil needed.
+    params = LameParams(1.0, lam)
+    modes = _modes(params, BC.FREE, 3000.0)
+    for k in (0, 1, 5, 20):
+        roots = [m.lam for m in modes if m.k == k and m.lam > 0.0]
+        assert len(roots) >= 10
+        for lam_ev in roots:
+            assert _free_traction(k, lam_ev, params) <= 1e-6, (k, lam_ev)
+        for lo, hi in zip(roots, roots[1:]):
+            assert _free_traction(k, 0.5 * (lo + hi), params) >= 1e-5, (k, lo, hi)
 
 
 def test_alpha_one_degenerate():
@@ -308,26 +334,6 @@ def test_counting_monotone_in_lambda_max():
         assert sp1.count_below(lam) == sp2.count_below(lam)
 
 
-def test_verify_mode_pde_k0_families():
-    modes = _modes(P11, BC.DIRICHLET, 120.0)
-    shear = next(m for m in modes if m.family == "shear_k0")
-    comp = next(m for m in modes if m.family == "compressional_k0")
-    chk_s = verify_mode_pde(shear.k, shear.lam, P11, BC.DIRICHLET)
-    chk_c = verify_mode_pde(comp.k, comp.lam, P11, BC.DIRICHLET)
-    assert chk_s.pde_residual <= 1e-6
-    assert chk_c.pde_residual <= 1e-6
-    assert chk_s.div_s <= 1e-8
-    assert chk_c.curl_p <= 1e-8
-
-
-def test_verify_mode_pde_coupled():
-    coupled = next(m for m in _modes(P11, BC.FREE, 40.0) if m.family == "coupled")
-    chk = verify_mode_pde(coupled.k, coupled.lam, P11, BC.FREE)
-    assert chk.pde_residual <= 1e-6
-    assert chk.curl_p <= 1e-8
-    assert chk.div_s <= 1e-8
-
-
 def test_d1_sign_change_between_fem_k1_eigenvalues():
     # the FEM oracle locates the k=1 doublets; D_1 must change sign across
     # each of them
@@ -347,22 +353,10 @@ def test_d1_sign_change_between_fem_k1_eigenvalues():
     assert d_between * d_after < 0
 
 
-def test_verify_mode_pde_rigid_case():
-    # lam_ev = 0 is a rigid motion of the free disk: nothing to reconstruct
-    chk = verify_mode_pde(0, 0.0, P11, BC.FREE)
-    assert (chk.pde_residual, chk.curl_p, chk.div_s) == (0.0, 0.0, 0.0)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
 def test_non_finite_or_non_positive_cutoff_is_refused(bad):
     with pytest.raises(ParameterDomainError, match="lambda_max must be a finite positive number"):
         disk_spectrum_potential(P11, BC.DIRICHLET, lambda_max=bad)
-
-
-def test_every_emitted_mode_satisfies_pde():
-    for m in _modes(P11, BC.DIRICHLET, 80.0):
-        chk = verify_mode_pde(m.k, m.lam, P11, BC.DIRICHLET)
-        assert chk.pde_residual <= 1e-5, (m, chk)
 
 
 def test_k_truncation_lowers_validity_cutoff():
@@ -409,16 +403,6 @@ def test_discriminator_fit_on_potential_spectrum():
         f"[discriminator] disk potential cutoff {sp.lambda_max:.0f}: "
         f"|b_hat - b_cflv| = {d_cflv:.4f}, |b_hat - b_liu| = {d_liu:.4f} (reported, not gated)"
     )
-
-
-def test_pde_residual_homogeneity():
-    # u(sqrt(2) x) is an eigenfunction of the same operator with 2*Lambda on
-    # the shrunk disk; the scan of the scaled problem reproduces the mode and
-    # the finite-difference residual stays at the same level
-    m0 = _modes(P11, BC.DIRICHLET, 40.0)[0]
-    base = verify_mode_pde(m0.k, m0.lam, P11, BC.DIRICHLET)
-    shrunk = verify_mode_pde(m0.k, 2.0 * m0.lam, P11, BC.DIRICHLET, r_max=1.0 / math.sqrt(2.0))
-    assert shrunk.pde_residual <= 10.0 * max(base.pde_residual, 1e-9)
 
 
 def test_scan_pass_resolves_a_tangent_double_root(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from elastica.errors import SpectrumIOError
+from elastica.errors import ParameterDomainError, SpectrumIOError
 from elastica.params import BoundaryCondition as BC
 from elastica.params import LameParams, UNIT_DISK, UNIT_SQUARE
 from elastica.spectrum import Method, Spectrum, merge_close, read_spectrum, write_spectrum
@@ -132,3 +132,22 @@ def test_eigenvalue_above_cutoff_rejected():
     # the cutoff itself is not above the cutoff
     Spectrum(UNIT_DISK, BC.FREE, LameParams(1, 1), np.array([1.0, 10.0]),
              np.array([1, 1]), ["a", "b"], 10.0, Method.FEM)
+
+
+_BAD_CUTOFFS = [np.nan, np.inf, 0.0, -5.0]
+
+
+@pytest.mark.parametrize("bad", _BAD_CUTOFFS)
+def test_non_finite_or_non_positive_cutoff_rejected(bad):
+    # an empty spectrum too: no eigenvalue lies above a cutoff of -5
+    for ev, mult, tags in ((np.array([1.0]), np.array([1]), ["a"]), (np.array([]), np.array([]), [])):
+        with pytest.raises(ParameterDomainError, match="lambda_max must be a finite positive number"):
+            Spectrum(UNIT_DISK, BC.FREE, LameParams(1, 1), ev, mult, tags, bad, Method.FEM)
+
+
+@pytest.mark.parametrize("bad", _BAD_CUTOFFS)
+def test_read_spectrum_rejects_a_non_finite_or_non_positive_cutoff(tmp_path, bad):
+    p = tmp_path / "a.csv"
+    p.write_text(_sample_text(["0,1.0,1,x"]).replace("lambda_max=10.0", f"lambda_max={bad!r}"))
+    with pytest.raises(SpectrumIOError, match="lambda_max must be a finite positive number"):
+        read_spectrum(p)
