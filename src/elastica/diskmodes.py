@@ -25,7 +25,6 @@ from .specfun.roots import refine_brackets
 
 _BISECT_REL_TOL = 1e-12
 _RESIDUAL_REL = 1e-9
-_NEAR_DOUBLE_SCALE = 1e-6
 _MAX_STEP_HALVINGS = 6
 
 
@@ -94,7 +93,7 @@ class _ScanPass:
     all four divided by one scale, the determinant's scale at lo[i]: D over
     its own scale at each end is not smooth in L, because the scale's
     envelopes are not, so the ends' slopes would not fit the values.  Exact
-    roots and the brackets of resolved near-double dips have NaN slopes.
+    roots have NaN slopes.
     ``counts`` holds the roots per scanned mode.
     """
 
@@ -121,11 +120,10 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
     Every mode's grid starts below its Rayleigh floor, and the grids of all
     the passes go through one determinant evaluation; each point's value
     depends on that point alone, so every pass is what a call for it alone
-    returns.  Roots are counted from sign changes (plus exact zeros and
-    resolved near-double dips) without refining them.  A root is not
-    certified where both Bessel factors have underflowed (the determinant is
-    exponentially small but nonzero there, so a 0.0 sample carries no sign
-    information).
+    returns.  Roots are counted from sign changes (plus exact zeros) without
+    refining them.  A root is not certified where both Bessel factors have
+    underflowed (the determinant is exponentially small but nonzero there,
+    so a 0.0 sample carries no sign information).
     """
     ks = np.asarray(ks, dtype=np.int64)
     steps = [1.0, 0.5] if halvings == 0 else [0.5**halvings]
@@ -150,21 +148,6 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
         (owner[i_cross], grid[i_cross], grid[i_cross + 1], dhat[i_cross], d[i_cross + 1] / s_lo,
          dd[i_cross] / s_lo, dd[i_cross + 1] / s_lo),
     ]
-    # near-double roots: interior |D| minima below threshold without a sign
-    # change get a deflated search (quadratic model of the dip)
-    mid = np.abs(dhat[1:-1])
-    dips = 1 + np.flatnonzero(
-        same[:-1] & same[1:]
-        & (mid < _NEAR_DOUBLE_SCALE)
-        & (mid < np.abs(dhat[:-2]))
-        & (mid <= np.abs(dhat[2:]))
-        & (dhat[:-2] * dhat[1:-1] > 0.0)
-        & (dhat[1:-1] * dhat[2:] > 0.0)
-    )
-    for i in dips:
-        k = int(lanes[owner[i]])
-        for lo, hi, flo, fhi in _deflated_pair(k, grid[i - 1], grid[i + 1], dhat[i - 1], dhat[i + 1], params, bc):
-            rows.append(([owner[i]], [lo], [hi], [flo], [fhi], [math.nan], [math.nan]))
     own, lo, hi, flo, fhi, glo, ghi = (np.concatenate(col) for col in zip(*rows))
     counts = np.bincount(own, minlength=lanes.size)
     passes = []
@@ -173,41 +156,6 @@ def _scan_angular_mode(ks, params, bc, lambda_max, *, halvings=0):
         passes.append(_ScanPass(lanes[own[sel]], lo[sel], hi[sel], flo[sel], fhi[sel], glo[sel], ghi[sel],
                                 counts[j * ks.size:(j + 1) * ks.size]))
     return tuple(passes)
-
-
-def _deflated_pair(k, a, b, fa, fb, params, bc):
-    """Resolve a non-sign-changing dip on [a, b]: a missed pair or a true double root.
-
-    Returns the dip's root brackets as (lo, hi, flo, fhi) rows, lo == hi for
-    a tangent double root located at the |D| minimum.
-    """
-    f = lambda lam: float(_dhat(k, [lam], params, bc)[0][0])
-    # golden-section refine of the |D| minimum
-    lo, hi = a, b
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = abs(f(x1)), abs(f(x2))
-    for _ in range(120):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = abs(f(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = abs(f(x2))
-        if hi - lo <= 1e-13 * max(1.0, lo):
-            break
-    xm = 0.5 * (lo + hi)
-    fm = f(xm)
-    if fa * fm < 0.0:
-        # the dip does cross: a missed pair of simple roots
-        return [(a, xm, fa, fm), (xm, b, fm, fb)]
-    if abs(fm) <= _RESIDUAL_REL:
-        # tangent double root
-        return [(xm, xm, 0.0, 0.0)] * 2
-    return []
 
 
 def _k0_family_tags(lams, params, bc):

@@ -1,4 +1,4 @@
-"""Validated Bessel-J entry points and zero tables."""
+"""Zero tables of Bessel J_k."""
 
 from __future__ import annotations
 
@@ -12,33 +12,6 @@ from .roots import refine_brackets
 
 _MAX_ORDER = 200
 _MAX_ARG = 1e6
-
-
-def _check(k: int, x: float):
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > _MAX_ORDER:
-        raise RangeError(f"order must be an integer in [0, {_MAX_ORDER}], got {k!r}")
-    if not (0.0 <= x <= _MAX_ARG):
-        raise RangeError(f"argument must lie in [0, {_MAX_ARG:g}], got {x!r}")
-
-
-def bessel_j(k: int, x: float) -> float:
-    """J_k(x) for integer k >= 0, 0 <= x <= 1e6."""
-    _check(k, x)
-    return float(_backend.jn_table(int(k), [float(x)])[k, 0])
-
-
-def bessel_j_prime(k: int, x: float) -> float:
-    """J_k'(x) via J_k' = (J_{k-1} - J_{k+1})/2, with J_0' = -J_1."""
-    _check(k, x)
-    return float(_backend.jk_pairs(int(k), [float(x)])[1][0])
-
-
-def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
-    """Array [J_0(x), ..., J_nmax(x)]: one backward-recurrence pass for
-    0.5 < x < max(25, 1.5*nmax), the Hankel expansion of J_0 and J_1 and
-    upward recurrence above, the power series at or below x = 0.5."""
-    _check(nmax, x)
-    return _backend.jn_table(int(nmax), [float(x)]).ravel()
 
 
 def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import Theory, heat_gamma, sum_test, to_heat_coeffs, weyl_two_term
+from .coeffs import Theory, heat_gamma, to_heat_coeffs, weyl_two_term
 from .errors import ParameterDomainError
 from .params import LameParams, check_dimension
 from .specfun import ContourSpec, QuadratureSpec, contour_integral, integrate
@@ -246,15 +246,3 @@ def prop71_verdict(params: LameParams, n: int, residue, interior, boundary) -> P
         passed=all(r.passed for r in (*residue, *interior, *boundary)),
         conclusion=conclusion,
     )
-
-
-def remark72_contrast(params: LameParams, n: int) -> dict:
-    """The documented contradiction: counting-theory b^- + b^+ vs the cancellation."""
-    cflv = sum_test(weyl_two_term(params, n, Theory.CFLV))
-    verdict = prop71_analytic(params, n)
-    return {
-        "cflv_sum": cflv.total,
-        "cflv_sum_passes_cancellation": cflv.passed,
-        "analytic_cancellation_passed": verdict.passed,
-        "contradiction_reproduced": verdict.passed and not cflv.passed,
-    }

@@ -1,4 +1,4 @@
-"""Bessel J, derivatives and zeros against independent oracles."""
+"""Bessel tables (J_k, J_k') and zeros against independent oracles."""
 
 import math
 import warnings
@@ -9,14 +9,20 @@ import pytest
 import scipy.special as sps
 
 from elastica.errors import RangeError
-from elastica.specfun import (
-    bessel_j,
-    bessel_j_prime,
-    bessel_j_sequence,
-    bessel_zeros,
-)
+from elastica.specfun import bessel_zeros
+from elastica.specfun._backend import jk_pairs, jn_table
 
 mp.mp.dps = 30
+
+
+def _jn(k, x):
+    """J_k(x) from the table kernel: row k of jn_table(k, [x])."""
+    return jn_table(k, [x])[k, 0]
+
+
+def _jn_prime(k, x):
+    """J_k'(x) from the table kernel: the slope of jk_pairs(k, [x])."""
+    return jk_pairs(k, [x])[1][0]
 
 
 def series_j0(x, terms=60):
@@ -31,12 +37,12 @@ def series_j0(x, terms=60):
 
 
 def test_j0_at_zero():
-    assert bessel_j(0, 0.0) == 1.0
+    assert _jn(0, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 40, 200])
 def test_jk_at_zero(k):
-    assert bessel_j(k, 0.0) == 0.0
+    assert _jn(k, 0.0) == 0.0
 
 
 def test_first_j0_zero_against_series_bisection():
@@ -51,7 +57,7 @@ def test_first_j0_zero_against_series_bisection():
             hi = mid
     root = 0.5 * (lo + hi)
     assert abs(root - 2.404825557695773) < 1e-12
-    assert abs(bessel_j(0, root)) < 1e-13
+    assert abs(_jn(0, root)) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -61,7 +67,7 @@ def test_first_j0_zero_against_series_bisection():
                2.5e3, 9.9e5)],
 )
 def test_bessel_vs_mpmath(k, x):
-    mine = bessel_j(k, x)
+    mine = _jn(k, x)
     ref = mp.besselj(k, mp.mpf(x))
     if abs(ref) < 1e-280:
         assert abs(mine) < 1e-270
@@ -72,18 +78,18 @@ def test_bessel_vs_mpmath(k, x):
 
 def test_prime_is_minus_j1():
     for x in (0.5, 1.0, 2.0):
-        assert abs(bessel_j_prime(0, x) + bessel_j(1, x)) < 1e-13
+        assert abs(_jn_prime(0, x) + _jn(1, x)) < 1e-13
 
 
 def test_prime_at_origin():
-    assert bessel_j_prime(1, 0.0) == 0.5
-    assert bessel_j_prime(3, 0.0) == 0.0
+    assert _jn_prime(1, 0.0) == 0.5
+    assert _jn_prime(3, 0.0) == 0.0
 
 
 def test_prime_at_first_j1_zero():
     j11 = bessel_zeros(1, 1)[0]
-    assert abs(bessel_j_prime(0, j11) + bessel_j(1, j11)) < 1e-10
-    assert abs(bessel_j(1, j11)) < 1e-11
+    assert abs(_jn_prime(0, j11) + _jn(1, j11)) < 1e-10
+    assert abs(_jn(1, j11)) < 1e-11
 
 
 def test_recurrence_residual_property():
@@ -91,7 +97,7 @@ def test_recurrence_residual_property():
     for _ in range(150):
         k = int(rng.integers(1, 150))
         x = float(rng.uniform(0.2, 400.0))
-        jm, jc, jp = bessel_j(k - 1, x), bessel_j(k, x), bessel_j(k + 1, x)
+        jm, jc, jp = _jn(k - 1, x), _jn(k, x), _jn(k + 1, x)
         envelope = math.sqrt(2.0 / (math.pi * x)) if x > k else max(abs(jc), 1e-30)
         resid = jm + jp - (2.0 * k / x) * jc
         assert abs(resid) <= 1e-11 * max(1.0, 2.0 * k / x) * max(envelope, abs(jm), abs(jp))
@@ -101,8 +107,8 @@ def test_wronskian_style_identity():
     # J_k J_{k+1}' - J_k' J_{k+1} = J_k^2 + J_{k+1}^2 - ((2k+1)/x) J_k J_{k+1}
     for k in (0, 1, 4, 11):
         for x in (0.7, 3.3, 19.0, 77.0):
-            lhs = bessel_j(k, x) * bessel_j_prime(k + 1, x) - bessel_j_prime(k, x) * bessel_j(k + 1, x)
-            jk, jk1 = bessel_j(k, x), bessel_j(k + 1, x)
+            lhs = _jn(k, x) * _jn_prime(k + 1, x) - _jn_prime(k, x) * _jn(k + 1, x)
+            jk, jk1 = _jn(k, x), _jn(k + 1, x)
             rhs = jk**2 + jk1**2 - (2 * k + 1) / x * jk * jk1
             assert abs(lhs - rhs) < 1e-10
 
@@ -112,23 +118,17 @@ def test_crossover_overlap_agreement():
     for k in (0, 1, 2, 5):
         for x in np.linspace(max(25.0, 1.5 * k) - 2.0, max(25.0, 1.5 * k) + 2.0, 9):
             ref = float(mp.besselj(k, mp.mpf(float(x))))
-            assert abs(bessel_j(k, float(x)) - ref) <= 1e-11 * max(abs(ref), 1e-2)
+            assert abs(_jn(k, float(x)) - ref) <= 1e-11 * max(abs(ref), 1e-2)
 
 
 def test_sequence_matches_scalar():
     # ulp-level wiggle allowed: the recurrence start order differs with nmax
-    seq = bessel_j_sequence(12, 9.25)
+    seq = jn_table(12, [9.25])[:, 0]
     for k in range(13):
-        assert abs(seq[k] - bessel_j(k, 9.25)) <= 1e-14 * max(abs(seq[k]), 0.01)
+        assert abs(seq[k] - _jn(k, 9.25)) <= 1e-14 * max(abs(seq[k]), 0.01)
 
 
 def test_range_errors():
-    with pytest.raises(RangeError):
-        bessel_j(201, 1.0)
-    with pytest.raises(RangeError):
-        bessel_j(0, 1.1e6)
-    with pytest.raises(RangeError):
-        bessel_j(0, -1.0)
     for k in (-1, 201, np.array([0, 201]), np.array([-1, 3]), 1.5, np.array([0.0, 1.0]), "1"):
         with pytest.raises(RangeError):
             bessel_zeros(k, 3)
@@ -145,7 +145,7 @@ def test_zero_tables_against_mpmath():
         zs = bessel_zeros(k, 12)
         for i, z in enumerate(zs, start=1):
             assert abs(z - float(mp.besseljzero(k, i))) < 1e-10
-            assert abs(bessel_j(k, float(z))) <= 1e-11
+            assert abs(_jn(k, float(z))) <= 1e-11
 
 
 def test_zero_known_values():
@@ -231,8 +231,6 @@ def test_jn_table_batch_equals_points_alone():
     # one batch mixes x = 0, the power series (x <= 0.5), Miller points with
     # different start orders, and Hankel points; each column must match the
     # point evaluated on its own, bit for bit
-    from elastica.specfun._backend import jn_table
-
     rng = np.random.default_rng(11)
     xs = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 0.5, 5), rng.uniform(0.5, 24.0, 8),
                          [24.999, 25.0, 70.0], rng.uniform(100.0, 3e3, 6), [9.9e5]])
@@ -254,8 +252,6 @@ def _miller_errors(tops, points, rows_of):
     """Worst error of jn_table(top, x) against mpmath at 40 digits, over x in
     the Miller regime (0.5, max(25, 1.5*top)) and the rows rows_of(top):
     relative to max(|J_n|, sqrt(2/(pi x))) for n < x, else to |J_n|."""
-    from elastica.specfun._backend import jn_table
-
     worst = 0.0
     with mp.workdps(40):
         for top in tops:
@@ -281,8 +277,6 @@ def test_miller_start_order_holds_full_accuracy():
 
 
 def test_jn_table_argument_outside_its_domain_gives_nan():
-    from elastica.specfun._backend import jk_pairs, jn_table
-
     xs = np.array([-1.0, math.nan, 1.0, -math.inf, 0.0, math.inf, -1e-300, 30.0, 0.25])
     bad = np.array([True, True, False, True, False, True, True, False, False])
     with warnings.catch_warnings():
@@ -297,8 +291,6 @@ def test_jn_table_argument_outside_its_domain_gives_nan():
             assert t[0, 4] == 1.0 and np.all(t[1:, 4] == 0.0)  # x = 0 stays exact
         j, jd = jk_pairs(2, xs)
     assert np.array_equal(np.isnan(j), bad) and np.array_equal(np.isnan(jd), bad)
-    with pytest.raises(RangeError):
-        bessel_j(0, math.nan)
 
 
 def test_det_grid_order_per_point_equals_one_order_at_a_time():
@@ -335,7 +327,7 @@ def test_det_grid_slope_against_differences_and_mpmath(k, lam, free):
     # dD/dL from one Bessel table, against a central difference of det_grid and
     # the mpmath derivative of the written-out determinant; the wavenumbers
     # reach the series (<= 0.5), Miller and Hankel (>= 25, >= 1.5 (k + 1)) regimes
-    from elastica.specfun._backend import boundary_matrix, det_grid, jk_pairs
+    from elastica.specfun._backend import boundary_matrix, det_grid
 
     lams = np.array([0.05, 0.2, 3.0, 40.0, 700.0, 5000.0, 3e4])
     d, slope, sc = det_grid(k, lams, 1.0, lam, free)
@@ -369,8 +361,6 @@ def test_jk_pairs_chunks_long_arrays():
     # values equal one unchunked table (checked on every 50th point: a
     # table's columns do not depend on the rest of its batch)
     import tracemalloc
-
-    from elastica.specfun._backend import jk_pairs, jn_table
 
     x = np.linspace(0.0, 2e3, 200_000)
     tracemalloc.start()

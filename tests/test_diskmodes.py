@@ -12,7 +12,7 @@ from elastica.diskmodes import disk_spectrum_potential
 from elastica.errors import DegenerateDecompositionError, ParameterDomainError, SolverError
 from elastica.params import BoundaryCondition as BC
 from elastica.params import LameParams
-from elastica.specfun import _backend, bessel_j, bessel_j_prime, bessel_zeros
+from elastica.specfun import _backend, bessel_zeros
 
 P11 = LameParams(1.0, 1.0)
 
@@ -65,8 +65,8 @@ def test_k0_dirichlet_normal_form_matches_spec_shape():
     (p,), (s,) = _wavenumbers(np.array([lam_ev]), P11)
     d, _ = _backend.det_dirichlet(2, lam_ev, P11.mu, P11.lam)
     manual = (
-        -p * s * bessel_j_prime(2, p) * bessel_j_prime(2, s)
-        + 4.0 * bessel_j(2, p) * bessel_j(2, s)
+        -p * s * _backend.jk_pairs(2, [p])[1][0] * _backend.jk_pairs(2, [s])[1][0]
+        + 4.0 * _backend.jn_table(2, [p])[2, 0] * _backend.jn_table(2, [s])[2, 0]
     )
     assert abs(d - manual) < 1e-13 * max(1.0, abs(manual))
 
@@ -215,7 +215,7 @@ def test_k0_scan_equals_bessel_zero_families():
 # Strict xfail pins of a known scan defect: they fail once the scan finds
 # every root, and the fix deletes their markers and re-records the fingerprint.
 _SCAN_PAIR_DEFECT = (
-    "ROADMAP item 1: the disk scan drops close root pairs; the seed-0 fingerprint "
+    "ROADMAP item 3: the disk scan drops close root pairs; the seed-0 fingerprint "
     "potential_sweep/l1_free.potential (count 94) records the dropped k = 0 pair "
     "218.920 / 220.633, where the exact factors give 96"
 )
@@ -403,27 +403,6 @@ def test_discriminator_fit_on_potential_spectrum():
         f"[discriminator] disk potential cutoff {sp.lambda_max:.0f}: "
         f"|b_hat - b_cflv| = {d_cflv:.4f}, |b_hat - b_liu| = {d_liu:.4f} (reported, not gated)"
     )
-
-
-def test_scan_pass_resolves_a_tangent_double_root(monkeypatch):
-    # a double root next to a grid point: the determinant keeps its sign on
-    # the grid and only dips there; the pass must count the root twice and
-    # locate it without a bracket to refine
-    from elastica import diskmodes
-    from elastica.specfun import _backend
-
-    grid, _ = diskmodes._grids(P11, diskmodes._scan_floor([1], P11), 60.0, [1.0])
-    r = grid[5] - 1e-4
-
-    def fake_det_grid(k, lams, mu, lam, free):
-        lams = np.asarray(lams, dtype=float)
-        return (lams - r) ** 2, 2.0 * (lams - r), np.ones_like(lams)
-
-    monkeypatch.setattr(_backend, "det_grid", fake_det_grid)
-    scan = diskmodes._scan_angular_mode([1], P11, BC.DIRICHLET, 60.0, halvings=0)[0]
-    assert list(scan.counts) == [2]
-    assert np.array_equal(scan.lo, scan.hi)
-    assert np.allclose(scan.lo, r, rtol=1e-6)
 
 
 def _lockstep_grids(params, lam_lo, lam_hi, halvings):

@@ -13,7 +13,6 @@ from elastica.symbolcheck import (
     interior_coefficient,
     prop71_analytic,
     prop71_verdict,
-    remark72_contrast,
     residue_heat,
     trace_q2,
 )
@@ -170,6 +169,7 @@ def test_prop71_analytic_pass():
     assert "b1^- + b1^+ = 0" in v.conclusion
     v2 = prop71_analytic(LameParams(2.0, 0.0), 3)
     assert v2.passed
+    assert prop71_analytic(P11, 3).passed
 
 
 def test_prop71_verdict_reads_each_reports_passed():
@@ -197,8 +197,3 @@ def test_prop71_scaling_invariance():
         assert abs(a.value - b.value) < 1e-10 * max(abs(a.value), 1.0)
     assert prop71_analytic(scaled, 2).passed
 
-
-def test_remark72_contradiction():
-    rep = remark72_contrast(P11, 3)
-    assert rep["contradiction_reproduced"]
-    assert abs(rep["cflv_sum"]) > 1e-3
