@@ -403,25 +403,29 @@ def test_dense_subset_matches_full_eigh(mode):
 
 
 def test_one_shift_factor_survives_a_failed_arpack_seed(monkeypatch):
+    # the tau start and the fallback's first seed do not converge: the next
+    # seed reuses the fallback's factor below the spectrum
     ops = _sparse_ops(15, PDEC, BC.DIRICHLET)
     real_splu, real_eigsh = spla.splu, spla.eigsh
-    factors, seeds = [], []
+    factors, starts = [], []
 
     def splu(*args, **kwargs):
         factors.append(args[0].shape)
         return real_splu(*args, **kwargs)
 
     def eigsh(*args, **kwargs):
-        seeds.append(kwargs["v0"][0])
-        if len(seeds) == 1:
+        starts.append((kwargs["sigma"], kwargs["v0"][0]))
+        if len(starts) <= 2:
             raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((ops.n, 0)))
         return real_eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "eigsh", eigsh)
     r = solve_eigs(ops, count=10)
-    assert len(seeds) == 2 and seeds[0] != seeds[1]  # the retry used the next seed
-    # the shift factor, reused by the retry, and the inertia check's factor
+    assert len(starts) == 3 and starts[0][0] > 0.0
+    (s1, v1), (s2, v2) = starts[1:]
+    assert s1 == s2 == 0.0 and v1 != v2  # the retry used the next seed
+    # the tau factor, then one factor below the spectrum for both seeds
     assert len(factors) == 2
     assert list(merge_close(r.values)[1]) == [2, 4, 4]
 

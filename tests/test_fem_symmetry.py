@@ -118,8 +118,7 @@ def test_arpack_blocks_match_the_whole_operator(bc, mode):
 def test_free_disk_zero_modes_sit_in_blocks_0_and_pm1():
     # rotation in m = 0; the translations in m = 1 and its conjugate m = 5 on
     # the C6 disk, both in the real block m = 1 of the C2 square (R = -I), and
-    # all three in the one block of a mesh without a group.  Cutoff mode pads
-    # each block's share by exactly its zero count
+    # all three in the one block of a mesh without a group
     cases = [
         (unit_disk_mesh(8), {0: 1, 1: 1, 2: 0, 3: 0}),
         (unit_square_mesh(8), {0: 1, 1: 2}),
@@ -129,50 +128,116 @@ def test_free_disk_zero_modes_sit_in_blocks_0_and_pm1():
         ops = assemble(mesh, P11, BC.FREE)
         r = solve_eigs(ops, count=8)
         assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) == 3
-        zeros, padding = {}, {}
+        zeros = {}
         for b in symmetry_blocks(ops):
             vals = sla.eigh(b.stiffness.toarray(), b.mass.toarray(), eigvals_only=True)
             zeros[b.m] = int(np.sum(np.abs(vals) <= 1e-8 * vals.max()))
-            padding[b.m] = eigs_mod._rigid_modes(b, mesh.rotation_order)
-        assert zeros == padding == want
+        assert zeros == want
 
 
-def test_count_mode_grows_the_block_with_the_lowest_gap(monkeypatch):
-    # with one spare value per block, block m = 1 certifies too little for
-    # the union's 4th value and is solved again with a larger share
-    mesh = unit_disk_mesh(24)
-    want = solve_eigs(assemble(_whole(mesh), P11, BC.DIRICHLET), count=4).values
-    solved = []
-    real_block = eigs_mod._lanczos_block
+def _count_live_factors(monkeypatch):
+    """Replace ``_factor`` by one whose factors are proxies held in a WeakSet:
+    (the live proxies, the number live at each ``_factor`` entry, the
+    (block m, shift) of each factor)."""
+    live, at_entry, made = weakref.WeakSet(), [], []
+    current = []
+    real_factor, real_block = eigs_mod._factor, eigs_mod._lanczos_block
 
-    def block(ops, norms, blk, sigma, k, cap):
-        solved.append(blk.m)
-        return real_block(ops, norms, blk, sigma, k, cap)
+    class Factor:
+        def __init__(self, lu):
+            self._lu = lu
 
-    monkeypatch.setattr(eigs_mod, "_EXTRA", 1)
+        def solve(self, b):  # a bound method: what holds it holds the proxy
+            return self._lu.solve(b)
+
+        @property
+        def U(self):
+            return self._lu.U
+
+    def factor(A, M, shift):
+        at_entry.append(len(live))
+        made.append((current[-1], shift))
+        f = Factor(real_factor(A, M, shift))
+        live.add(f)
+        return f
+
+    def block(ops, norms, blk, tau, sigma):
+        current.append(blk.m)
+        return real_block(ops, norms, blk, tau, sigma)
+
+    monkeypatch.setattr(eigs_mod, "_factor", factor)
     monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
-    r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), count=4)
-    assert solved == [0, 1, 2, 3, 1]
+    return live, at_entry, made
+
+
+def _fail_residuals_on_m1(monkeypatch, times):
+    """``_residuals`` reports 1.0 for every pair of block m = 1, ``times`` times."""
+    real = eigs_mod._residuals
+    failed = []
+
+    def residuals(ops, norms, blk, vecs):
+        vals, res = real(ops, norms, blk, vecs)
+        if blk.m == 1 and len(failed) < times:
+            failed.append(blk.m)
+            return vals, np.ones(len(vals))
+        return vals, res
+
+    monkeypatch.setattr(eigs_mod, "_residuals", residuals)
+    return failed
+
+
+@pytest.mark.parametrize(
+    "bc, mode",
+    [(BC.DIRICHLET, {"lambda_max": 100.0}), (BC.FREE, {"lambda_max": 100.0}), (BC.DIRICHLET, {"count": 40})],
+)
+def test_a_clean_solve_makes_one_factor_per_block(monkeypatch, bc, mode):
+    # the factor that ARPACK inverts also counts the block's values: one splu
+    # call per sparse block, where a separate inertia factor made two
+    ops = assemble(unit_disk_mesh(24), P11, bc)
+    blocks = symmetry_blocks(ops)
+    assert min(b.n for b in blocks) > eigs_mod._DENSE_LIMIT
+    real_splu = spla.splu
+    factors = []
+
+    def splu(*args, **kwargs):
+        factors.append(args[0].shape[0])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    r = solve_eigs(ops, **mode)
+    assert r.method == "lanczos" and r.residuals.max() <= eigs_mod._RESID_TOL
+    assert factors == [b.n for b in blocks]
+
+
+def test_count_mode_raises_tau_until_the_union_holds_count(monkeypatch):
+    # a first tau at half its place holds too few values: every block is
+    # factored again at one higher tau, and the result is the whole operator's
+    mesh = unit_disk_mesh(24)
+    want = solve_eigs(assemble(_whole(mesh), P11, BC.DIRICHLET), count=40).values
+    real_first = eigs_mod._first_tau
+    monkeypatch.setattr(eigs_mod, "_first_tau", lambda ops, count: 0.5 * real_first(ops, count))
+    _, _, made = _count_live_factors(monkeypatch)
+    r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), count=40)
+    assert [m for m, _ in made] == [0, 1, 2, 3, 0, 1, 2, 3]
+    first, second = {s for _, s in made[:4]}, {s for _, s in made[4:]}
+    assert len(first) == len(second) == 1 and min(second) > max(first)
     _assert_same_spectrum(r.values, want)
 
 
-def test_cutoff_mode_growth_goes_through_the_shared_loop(monkeypatch):
-    # with 0.9 of the Weyl estimate and one spare value per block, block m = 1
-    # is certified only below the cutoff and is solved again for more values
+def test_cutoff_mode_needs_no_estimate(monkeypatch):
+    # tau is the cutoff itself, so no Weyl estimate sizes a block and no block
+    # grows: each is factored once, at the cutoff
     mesh = unit_disk_mesh(24)
     want = solve_eigs(assemble(_whole(mesh), P11, BC.DIRICHLET), lambda_max=100.0).values
-    solved = []
-    real_block, real_estimate = eigs_mod._lanczos_block, eigs_mod.weyl_count_estimate
 
-    def block(ops, norms, blk, sigma, k, cap):
-        solved.append(blk.m)
-        return real_block(ops, norms, blk, sigma, k, cap)
+    def estimate(*args):
+        raise AssertionError("cutoff mode read the Weyl estimate")
 
-    monkeypatch.setattr(eigs_mod, "_EXTRA", 1)
-    monkeypatch.setattr(eigs_mod, "weyl_count_estimate", lambda *args: 0.9 * real_estimate(*args))
-    monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
+    monkeypatch.setattr(eigs_mod, "weyl_count_estimate", estimate)
+    monkeypatch.setattr(eigs_mod, "_weyl_terms", estimate)
+    _, _, made = _count_live_factors(monkeypatch)
     r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), lambda_max=100.0)
-    assert solved == [0, 1, 2, 3, 1]
+    assert made == [(0, 100.0), (1, 100.0), (2, 100.0), (3, 100.0)]
     _assert_same_spectrum(r.values, want)
 
 
@@ -185,21 +250,27 @@ def test_a_block_that_cannot_grow_raises():
 
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
 def test_cutoff_mode_certifies_every_block_through_the_cutoff(monkeypatch, bc):
-    # every inertia shift lies above the cutoff, so no block can hide a value
-    # between its certified bound and the cutoff
+    # every factor's shift, whose negative pivots count the block's values,
+    # is the cutoff or above, so no block can hide a value between its
+    # certified bound and the cutoff
     ops = assemble(unit_disk_mesh(24), P11, bc)
-    sigma = 0.0 if bc is BC.DIRICHLET else -0.2 * P11.mu
-    shifts = []
-    real_factor = eigs_mod._factor
+    shifts, bounds = [], []
+    real_factor, real_block = eigs_mod._factor, eigs_mod._lanczos_block
 
     def factor(A, M, shift):
         shifts.append(shift)
         return real_factor(A, M, shift)
 
+    def block(*args):
+        part = real_block(*args)
+        bounds.append(part.tau)
+        return part
+
     monkeypatch.setattr(eigs_mod, "_factor", factor)
+    monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
     solve_eigs(ops, lambda_max=100.0)
-    inertia = [s for s in shifts if s != sigma]
-    assert len(inertia) >= len(symmetry_blocks(ops)) and min(inertia) > 100.0
+    assert len(shifts) == len(bounds) == len(symmetry_blocks(ops))
+    assert min(shifts) >= 100.0 and min(bounds) >= 100.0
 
 
 @pytest.mark.parametrize("drops", [1, None])
@@ -231,80 +302,29 @@ def test_inertia_catches_a_copy_dropped_inside_a_block(monkeypatch, drops):
             solve_eigs(ops, count=10)
         return
     r = solve_eigs(ops, count=10)
-    # block 0 twice (the retry with the next seed), then one call per block
+    # block 0 twice (the tau start, then the fallback), then one call per block
     assert len(calls) == 5
-    # block 0: shift, inertia (fails), shift again, inertia; 2 for each other block
-    assert len(factors) == 10
+    # block 0: tau (its count refuses the answer), then one factor below the
+    # spectrum; one for each other block
+    assert len(factors) == 5
     reps, mults = merge_close(r.values)
     assert list(mults) == [2, 4, 4]
 
 
-def test_singular_free_sizing_needs_one_arpack_call_per_block(monkeypatch):
-    # lambda = -mu, traction free: CFLV's b is infinite and Liu's b_plus alone
-    # sized every block too small (five calls here: one block grew)
+def test_singular_free_cutoff_needs_no_growth(monkeypatch):
+    # lambda = -mu, traction free: CFLV's b is infinite, and a Weyl estimate
+    # that took Liu's b_plus alone once sized every block too small.  Every
+    # block is factored once at the cutoff; a tau start that is not certified
+    # adds one factor below the spectrum, and nothing else is factored
     ops = assemble(unit_disk_mesh(48), PDEC, BC.FREE)
-    real_eigsh = spla.eigsh
-    calls = []
-
-    def eigsh(*args, **kwargs):
-        calls.append(args[1])
-        return real_eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "eigsh", eigsh)
+    _, _, made = _count_live_factors(monkeypatch)
     r = solve_eigs(ops, lambda_max=60.0)
     assert r.method == "lanczos" and min(r.block_sizes) > eigs_mod._DENSE_LIMIT
-    assert len(calls) == len(r.block_sizes)
+    assert [m for m, s in made if s == 60.0] == [0, 1, 2, 3]
+    fallback = [m for m, s in made if s != 60.0]
+    assert all(s == -0.2 * PDEC.mu for _, s in made if s != 60.0)
+    assert len(set(fallback)) == len(fallback)
     assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) >= 3
-
-
-def _count_live_factors(monkeypatch):
-    """Replace ``_factor`` by one whose factors are proxies held in a WeakSet:
-    (the live proxies, the number live at each ``_factor`` entry, the block m
-    of each factor)."""
-    live, at_entry, blocks = weakref.WeakSet(), [], []
-    current = []
-    real_factor, real_block = eigs_mod._factor, eigs_mod._lanczos_block
-
-    class Factor:
-        def __init__(self, lu):
-            self._lu = lu
-
-        def solve(self, b):  # a bound method: what holds it holds the proxy
-            return self._lu.solve(b)
-
-        @property
-        def U(self):
-            return self._lu.U
-
-    def factor(A, M, shift):
-        at_entry.append(len(live))
-        blocks.append(current[-1])
-        f = Factor(real_factor(A, M, shift))
-        live.add(f)
-        return f
-
-    def block(ops, norms, blk, sigma, k, cap):
-        current.append(blk.m)
-        return real_block(ops, norms, blk, sigma, k, cap)
-
-    monkeypatch.setattr(eigs_mod, "_factor", factor)
-    monkeypatch.setattr(eigs_mod, "_lanczos_block", block)
-    return live, at_entry, blocks
-
-
-def _fail_residuals_on_m1(monkeypatch, times):
-    """``_residuals`` reports 1.0 for every pair of block m = 1, ``times`` times."""
-    real = eigs_mod._residuals
-    failed = []
-
-    def residuals(ops, norms, blk, vals, vecs):
-        if blk.m == 1 and len(failed) < times:
-            failed.append(blk.m)
-            return np.ones(len(vals))
-        return real(ops, norms, blk, vals, vecs)
-
-    monkeypatch.setattr(eigs_mod, "_residuals", residuals)
-    return failed
 
 
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
@@ -313,11 +333,11 @@ def _fail_residuals_on_m1(monkeypatch, times):
 def test_one_superlu_factor_is_alive_at_a_time(monkeypatch, bc, mode, retries):
     # the cyclic collector is off, so a factor that only a reference cycle
     # frees (eigsh -> eigs on a complex block) stays counted; retries = 1
-    # refuses block m = 1's first residuals, None refuses them on every seed
+    # refuses block m = 1's tau start, None refuses it and every seed after
     ops = assemble(unit_disk_mesh(24), P11, bc)
     assert min(b.n for b in symmetry_blocks(ops)) > eigs_mod._DENSE_LIMIT
-    live, at_entry, blocks = _count_live_factors(monkeypatch)
-    failed = _fail_residuals_on_m1(monkeypatch, len(eigs_mod._SEEDS) if retries is None else retries)
+    live, at_entry, made = _count_live_factors(monkeypatch)
+    failed = _fail_residuals_on_m1(monkeypatch, 1 + len(eigs_mod._SEEDS) if retries is None else retries)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -332,13 +352,51 @@ def test_one_superlu_factor_is_alive_at_a_time(monkeypatch, bc, mode, retries):
             gc.enable()
     assert len(at_entry) >= 2 and max(at_entry) == 0
     assert alive_after == 0
+    m1 = [s for m, s in made if m == 1]
     if retries is None:
-        # every seed of block m = 1 reuses its one shift factor
-        assert len(failed) == len(eigs_mod._SEEDS) and blocks.count(1) == 1
+        # the tau start, then every seed on the one factor below the spectrum
+        assert len(failed) == 1 + len(eigs_mod._SEEDS) and len(m1) == 2
         return
     assert r.method == "lanczos" and len(failed) == retries
-    # the seed retry reuses the shift factor: shift and inertia, once each
-    assert blocks.count(1) == 2
+    # the tau factor, and after a refused start one factor below the spectrum
+    assert len(m1) == 1 + retries
+
+
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+def test_a_refused_tau_start_falls_back_to_one_factor_below_the_spectrum(monkeypatch, bc):
+    ops = assemble(unit_disk_mesh(24), P11, bc)
+    want = solve_eigs(ops, lambda_max=100.0)
+    sigma = 0.0 if bc is BC.DIRICHLET else -0.2 * P11.mu
+    _, at_entry, made = _count_live_factors(monkeypatch)
+    failed = _fail_residuals_on_m1(monkeypatch, 1)
+    r = solve_eigs(ops, lambda_max=100.0)
+    assert failed == [1]
+    assert made == [(0, 100.0), (1, 100.0), (1, sigma), (2, 100.0), (3, 100.0)]
+    assert max(at_entry) == 0
+    _assert_same_spectrum(r.values, want.values)
+    assert r.residuals.max() <= eigs_mod._RESID_TOL
+
+
+@pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
+def test_a_cutoff_on_an_eigenvalue_moves_tau_off_it(monkeypatch, bc):
+    # the cutoff set to a value v of a first solve: the inertia count at v
+    # hinges on rounding, so where a Ritz value lands on v, tau moves up off
+    # it and is factored again; v itself is on the cutoff, not below it
+    ops = assemble(unit_disk_mesh(24), P11, bc)
+    first = solve_eigs(ops, lambda_max=100.0).values
+    sigma = 0.0 if bc is BC.DIRICHLET else -0.2 * P11.mu
+    _, _, made = _count_live_factors(monkeypatch)
+    moved = 0
+    for v in np.unique(first)[-8:]:
+        made.clear()
+        r = solve_eigs(ops, lambda_max=float(v))
+        _assert_same_spectrum(r.values, first[first < v])
+        assert r.residuals.max() <= eigs_mod._RESID_TOL
+        assert [m for m, s in made if s == v] == [0, 1, 2, 3]
+        # any other factor is a moved tau, or a fallback below the spectrum
+        assert all(s > v or s == sigma for _, s in made if s != v)
+        moved += any(s > v for _, s in made)
+    assert moved >= 1
 
 
 def test_fem_spectrum_records_its_reduction(tmp_path):
