@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingularLimitError, SolverError
+from ..errors import SingularLimitError
 from ..params import ALPHA_DECOUPLED_TOL, BoundaryCondition, DomainGeometry, LameParams, check_cutoff
 from ..spectrum import Method, Spectrum, merge_close
 from .analytic import (
@@ -22,7 +22,7 @@ from .analytic import (
     square_neumann_lattice_spectrum,
 )
 from .assemble import Operators, assemble
-from .eigs import _ZERO_REL, EigResult, solve_eigs, weyl_count_estimate
+from .eigs import _ZERO_REL, EigResult, solve_eigs
 from .mesh import Mesh, min_angle_deg, unit_disk_mesh, unit_square_mesh
 from .refine import ExtrapolationResult, build_mesh, refine_and_extrapolate
 
@@ -44,12 +44,7 @@ __all__ = [
     "disk_dirichlet_spectrum",
     "fem_spectrum",
     "fem_extrapolated_spectrum",
-    "weyl_count_estimate",
 ]
-
-
-# eigenvalues asked for beyond the Weyl estimate of the count below the cutoff
-_EXTRA_COUNT = 12
 
 
 def _refuse_free_decoupled(params: LameParams, bc: BoundaryCondition) -> None:
@@ -91,27 +86,17 @@ def fem_extrapolated_spectrum(
 ) -> tuple[Spectrum, ExtrapolationResult]:
     """Richardson-extrapolated FEM spectrum below lambda_max.
 
-    Runs the refinement study over the given resolutions for enough
-    eigenvalues to cover the cutoff, extrapolates each, and assembles a
-    Spectrum whose per-eigenvalue discretization-error estimates ride along
-    in the ExtrapolationResult.  If one enlarged retry still falls short of
-    the cutoff, raises SolverError rather than label a truncated spectrum
-    complete.  Traction free at lambda = -mu raises SingularLimitError.
+    Runs the refinement study of ``refine_and_extrapolate``, which raises
+    its one shift until the extrapolated values reach the cutoff, and
+    assembles a Spectrum whose per-eigenvalue discretization-error
+    estimates ride along in the ExtrapolationResult.  A study that cannot
+    reach the cutoff raises SolverError rather than label a truncated
+    spectrum complete.  Traction free at lambda = -mu raises
+    SingularLimitError.
     """
     check_cutoff(lambda_max)
     _refuse_free_decoupled(params, bc)
-    count = int(1.15 * weyl_count_estimate(params, domain, lambda_max, bc)) + _EXTRA_COUNT
-    if bc is BoundaryCondition.FREE:
-        count += 3
-    ex = refine_and_extrapolate(domain, params, bc, resolutions, count)
-    if ex.extrapolated.max() < lambda_max:
-        count = int(1.6 * count) + 10
-        ex = refine_and_extrapolate(domain, params, bc, resolutions, count)
-        if ex.extrapolated.max() < lambda_max:
-            raise SolverError(
-                f"{count} extrapolated eigenvalues reach only {ex.extrapolated.max():.6g}, "
-                f"below the cutoff {lambda_max:g}"
-            )
+    ex = refine_and_extrapolate(domain, params, bc, resolutions, lambda_max)
     order = np.argsort(ex.extrapolated)
     vals = ex.extrapolated[order]
     errs = ex.error_estimate[order][vals < lambda_max]

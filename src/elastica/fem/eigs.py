@@ -49,10 +49,10 @@ factored once below the spectrum, where A - sigma M is positive definite,
 and ARPACK asks for the N_m values of largest 1/(lambda - sigma), with
 every seed of ``_SEEDS``.
 
-In cutoff mode tau is the cutoff.  In count mode it starts a margin above
-the point where the two-term Weyl estimate reaches ``count``, and all
-blocks are solved again at a higher tau while their union holds fewer than
-``count`` values below it.
+tau is the cutoff, and the solve returns every certified value below it.
+It sizes nothing: a caller that needs a number of values, such as the
+Richardson study of ``refine.refine_and_extrapolate``, raises the cutoff
+itself and reads the count off what comes back.
 
 At most one SuperLU factor is alive at a time: a block's factor is freed
 before the next one is made, and on every way out of the block solve.  The
@@ -70,9 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..coeffs import Theory, boundary_coefficient, weyl_a
-from ..errors import ParameterDomainError, SingularLimitError, SolverError
-from ..params import BoundaryCondition, DomainGeometry, LameParams
+from ..errors import SolverError
+from ..params import BoundaryCondition, check_cutoff
 from .assemble import Operators
 from .symmetry import symmetry_blocks
 
@@ -89,13 +88,6 @@ _RESID_TOL = 1e-13
 _NUDGE = 1e-9
 # moves of tau a block makes before it gives up
 _NUDGES = 3
-# count mode: tau starts this factor above where the Weyl estimate reaches
-# count, and a short union moves it up by at least this factor
-_TAU_MARGIN = 1.2
-# boundary coefficient assumed where a theory's is infinite (CFLV, traction
-# free, alpha = 1): there the discrete count depends on the mesh, and 12- to
-# 48-ring disks at cutoffs 30-100 show an effective b of 0.6-1.1
-_SINGULAR_B = 1.0
 # values below this share of the largest one are numerically zero (rigid modes)
 _ZERO_REL = 1e-8
 # ARPACK start vectors: tau tries the first, the fallback below the spectrum
@@ -215,7 +207,7 @@ def _lanczos_block(ops, norms, blk, tau: float, sigma: float) -> _BlockResult:
             if count == 0:
                 return _BlockResult(np.empty(0), np.empty(0), tau, "lanczos")
             if count > n - 2:  # eigsh needs k < n - 1 on a sparse matrix
-                raise SolverError(f"block m = {blk.m} cannot grow past {n - 2} values: "
+                raise SolverError(f"block m = {blk.m} cannot return more than {n - 2} values: "
                                   f"{count} lie below {tau:.6g}")
             vals, res, why = attempt(tau, "SA", _SEEDS[0])
             if why is None:
@@ -249,55 +241,17 @@ def _union(blocks, parts):
     return vals[order], res[order]
 
 
-def _weyl_terms(params: LameParams, domain: DomainGeometry, bc: BoundaryCondition):
-    """(c1, c2) of the estimate max(c1 L + c2 sqrt(L), c1 L / 2) of N(L)."""
-    bs = []
-    for theory in Theory:
-        try:
-            bs.append(boundary_coefficient(params, 2, bc, theory))
-        except SingularLimitError:
-            bs.append(_SINGULAR_B)
-    return weyl_a(params, 2) * domain.volume, max(bs) * domain.boundary_length
+def solve_eigs(ops: Operators, *, lambda_max: float) -> EigResult:
+    """Every eigenvalue of A x = lambda M x below the cutoff ``lambda_max``,
+    with residual and inertia certificates.
 
-
-def weyl_count_estimate(params: LameParams, domain: DomainGeometry, lambda_max: float,
-                        bc: BoundaryCondition) -> float:
-    """Two-term estimate of N(lambda_max), used to size the Richardson count.
-
-    The leading term is common to both theories.  The boundary term takes
-    the largest b of the theories, so that the estimate presupposes neither,
-    and ``_SINGULAR_B`` for a theory whose b is infinite.  ``solve_eigs``
-    sizes nothing by it: in count mode it inverts it only to place its first
-    shift, and in cutoff mode it does not read it.
+    Every symmetry block returns all of its values below tau = lambda_max
+    (module docstring).  An ARPACK block makes one SuperLU factor in a clean
+    solve, and at most one is alive at a time.  A block with more values
+    below the cutoff than ARPACK can return, or that no seed certifies,
+    raises SolverError.
     """
-    c1, c2 = _weyl_terms(params, domain, bc)
-    lead = c1 * lambda_max
-    return max(lead + c2 * np.sqrt(lambda_max), 0.5 * lead)
-
-
-def _first_tau(ops, count: int) -> float:
-    """``_TAU_MARGIN`` times the L where ``weyl_count_estimate`` reaches count:
-    the inverse of a maximum of increasing functions is the minimum of their
-    inverses, and c1 s^2 + c2 s = count has one positive root s."""
-    c1, c2 = _weyl_terms(ops.params, ops.mesh.domain, ops.bc)
-    s = (-c2 + np.sqrt(c2 * c2 + 4.0 * c1 * count)) / (2.0 * c1)
-    return _TAU_MARGIN * min(s * s, 2.0 * count / c1)
-
-
-def solve_eigs(ops: Operators, count: int | None = None, lambda_max: float | None = None) -> EigResult:
-    """Eigenvalues of A x = lambda M x with residual and inertia certificates.
-
-    Either the lowest ``count`` eigenvalues, or (with ``lambda_max``) every
-    eigenvalue below the cutoff.  Every symmetry block returns all of its
-    values below one shift tau (module docstring): the cutoff itself, or in
-    count mode a margin above the inverted Weyl estimate, raised while the
-    union of the blocks holds fewer than ``count`` values below it.  An
-    ARPACK block makes one SuperLU factor in a clean solve, and at most one
-    is alive at a time.  A block that cannot grow, or that no seed
-    certifies, raises SolverError.
-    """
-    if count is None and lambda_max is None:
-        raise ParameterDomainError("need count or lambda_max")
+    check_cutoff(lambda_max)
     # shift of the fallback factor, just below the spectrum: the wanted
     # eigenvalues are the extreme end of 1/(lambda - sigma), and A - sigma M
     # is positive definite
@@ -306,27 +260,13 @@ def solve_eigs(ops: Operators, count: int | None = None, lambda_max: float | Non
     # so that they never add to a factor's memory peak
     norms = _norms(ops)
     blocks = symmetry_blocks(ops)
-    tau = lambda_max if count is None else _first_tau(ops, count)
-
-    def solve(blk):
-        if blk.n <= _DENSE_LIMIT:
-            return _dense_block(ops, norms, blk, tau)
-        return _lanczos_block(ops, norms, blk, tau, sigma)
-
-    while True:
-        parts = [solve(blk) for blk in blocks]
-        vals, res = _union(blocks, parts)
-        if count is None:
-            break
-        # a moved tau only adds values above the common one
-        below = int(np.sum(vals < min(p.tau for p in parts)))
-        if below >= count:
-            break
-        if all(len(p.values) == blk.n for blk, p in zip(blocks, parts)):
-            raise SolverError(f"the blocks cannot grow past their {below} values, "
-                              f"short of count = {count}")
-        tau *= max(_TAU_MARGIN, min(2.0, _TAU_MARGIN * count / max(below, 1)))
+    parts = [
+        _dense_block(ops, norms, blk, lambda_max) if blk.n <= _DENSE_LIMIT
+        else _lanczos_block(ops, norms, blk, lambda_max, sigma)
+        for blk in blocks
+    ]
+    vals, res = _union(blocks, parts)
     # a value within _NUDGE of the cutoff sits on it, and is not below it
-    keep = vals < lambda_max - _NUDGE * abs(lambda_max) if count is None else slice(count)
+    keep = vals < lambda_max - _NUDGE * lambda_max
     method = "lanczos" if any(p.method == "lanczos" for p in parts) else "dense"
     return EigResult(vals[keep], res[keep], method, tuple(blk.n for blk in blocks))

@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 from elastica.errors import MeshError, ParameterDomainError, SingularLimitError, SolverError
 from elastica.fem import (
     EigResult,
-    ExtrapolationResult,
     analytic_decoupled_spectrum,
     assemble,
     disk_dirichlet_spectrum,
@@ -108,8 +107,9 @@ def test_energy_identity_at_decoupling():
 
 def test_square_dirichlet_lowest_doublet():
     ops = assemble(unit_square_mesh(16), PDEC, BC.DIRICHLET)
-    r = solve_eigs(ops, 4)
+    r = solve_eigs(ops, lambda_max=30.0)
     exact = 2.0 * math.pi**2
+    assert len(r.values) == 2  # the next value is 5 pi^2 or above
     assert abs(r.values[0] - exact) / exact < 2e-2  # O(h^2)
     assert abs(r.values[1] - r.values[0]) < 1e-8 * exact  # multiplicity 2
     assert r.residuals.max() <= eigs_mod._RESID_TOL
@@ -117,8 +117,9 @@ def test_square_dirichlet_lowest_doublet():
 
 def test_disk_dirichlet_lowest():
     ops = assemble(unit_disk_mesh(16), PDEC, BC.DIRICHLET)
-    r = solve_eigs(ops, 4)
+    r = solve_eigs(ops, lambda_max=10.0)
     exact = bessel_zeros(0, 1)[0] ** 2
+    assert len(r.values) == 2  # the next value is j11^2 or above
     assert abs(r.values[0] - exact) / exact < 2e-2
     assert abs(r.values[1] - r.values[0]) < 1e-6 * exact
 
@@ -126,7 +127,8 @@ def test_disk_dirichlet_lowest():
 def test_free_kernel_dimension_exactly_three():
     for mesh in (unit_square_mesh(10), unit_disk_mesh(8)):
         ops = assemble(mesh, P11, BC.FREE)
-        r = solve_eigs(ops, 6)
+        r = solve_eigs(ops, lambda_max=20.0)
+        assert len(r.values) > 3
         scale = abs(r.values[-1])
         zeros = np.sum(np.abs(r.values) <= 1e-8 * scale)
         assert zeros == 3
@@ -142,9 +144,11 @@ def test_domain_monotonicity_dirichlet():
         triangles=mesh.triangles,
         boundary=mesh.boundary,
     )
-    r_unit = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), 5)
-    r_sub = solve_eigs(assemble(sub, P11, BC.DIRICHLET), 5)
-    assert np.all(r_sub.values >= r_unit.values - 1e-9)
+    r_unit = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), lambda_max=150.0)
+    r_sub = solve_eigs(assemble(sub, P11, BC.DIRICHLET), lambda_max=150.0)
+    k = len(r_sub.values)
+    assert 5 <= k <= len(r_unit.values)
+    assert np.all(r_sub.values >= r_unit.values[:k] - 1e-9)
 
 
 def _whole(mesh):
@@ -156,23 +160,27 @@ def test_sparse_lanczos_matches_dense():
     mesh = _whole(unit_disk_mesh(18))  # above the dense limit
     ops = assemble(mesh, P11, BC.DIRICHLET)
     assert ops.n > 1200
-    r_sparse = solve_eigs(ops, 8)
+    cut = 45.0
+    r_sparse = solve_eigs(ops, lambda_max=cut)
     assert r_sparse.method == "lanczos"
-    dense = np.sort(
-        sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
-    )[:8]
+    dense = sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
+    dense = dense[dense < cut]
+    assert len(r_sparse.values) == len(dense) == 8
     assert np.max(np.abs(r_sparse.values - dense) / dense) < 1e-9
 
 
 def test_refine_and_extrapolate_square():
-    r = refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [8, 16, 32], 10)
+    # the ten lowest values, through 10 pi^2, of a study cut at 100
+    r = refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [8, 16, 32], 100.0)
     exact = np.repeat(
         np.array(sorted(math.pi**2 * (p * p + q * q) for p in range(1, 8) for q in range(1, 8))), 2
     )[:10]
-    rel = np.abs(r.extrapolated - exact) / exact
+    assert r.extrapolated.max() >= 100.0
+    rel = np.abs(r.extrapolated[:10] - exact) / exact
     assert np.max(rel) < 1e-3
-    ok = ~np.isnan(r.observed_order)
-    assert np.all((r.observed_order[ok] > 1.7) & (r.observed_order[ok] < 2.3))
+    orders = r.observed_order[:10]
+    orders = orders[~np.isnan(orders)]
+    assert np.all((orders > 1.7) & (orders < 2.3))
 
 
 def test_richardson_step_matches_the_per_eigenvalue_rule(monkeypatch):
@@ -185,8 +193,8 @@ def test_richardson_step_matches_the_per_eigenvalue_rule(monkeypatch):
         np.array([1.05, 2.1, 3.0 + 2e-14, 4.0, 5.1]),
         np.array([1.01, 2.05, 3.0, 3.9, 5.02]),
     ])
-    monkeypatch.setattr(refine, "solve_eigs", lambda ops, count: EigResult(next(levels), None, "dense", (1,)))
-    r = refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [2, 4, 8], 5)
+    monkeypatch.setattr(refine, "solve_eigs", lambda ops, lambda_max: EigResult(next(levels), None, "dense", (1,)))
+    r = refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [2, 4, 8], 4.0)
     e1, e2, e3 = r.raw
     want, order, flagged = e3.copy(), np.full(5, np.nan), np.zeros(5, dtype=bool)
     for i in range(5):
@@ -314,6 +322,8 @@ _CUTOFF_BUILDERS = {
     "square_dirichlet_spectrum": lambda lm: square_dirichlet_spectrum(1.0, lm),
     "square_neumann_lattice_spectrum": lambda lm: square_neumann_lattice_spectrum(1.0, lm),
     "disk_dirichlet_spectrum": lambda lm: disk_dirichlet_spectrum(1.0, lm),
+    "solve_eigs": lambda lm: solve_eigs(assemble(unit_disk_mesh(6), P11, BC.DIRICHLET), lambda_max=lm),
+    "refine_and_extrapolate": lambda lm: refine_and_extrapolate(UNIT_SQUARE, P11, BC.DIRICHLET, [2, 4, 8], lm),
 }
 
 
@@ -371,7 +381,7 @@ def _sparse_ops(rings, params, bc):
 def test_sparse_decoupled_disk_multiplets():
     # lambda = -mu: two copies of the scalar Dirichlet Laplacian, so the
     # lowest ten are j01^2 twice, then j11^2 and j21^2 four times each
-    r = solve_eigs(_sparse_ops(15, PDEC, BC.DIRICHLET), count=10)
+    r = solve_eigs(_sparse_ops(15, PDEC, BC.DIRICHLET), lambda_max=29.0)
     assert r.method == "lanczos"
     reps, mults = merge_close(r.values)
     assert list(mults) == [2, 4, 4]
@@ -391,13 +401,13 @@ def test_sparse_free_disk_cutoff_matches_dense():
     assert np.max(np.abs(r.values - dense[: len(r.values)])) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("mode", [{"count": 9}, {"lambda_max": 40.0}])
+@pytest.mark.parametrize("mode", [{"lambda_max": 10.0}, {"lambda_max": 40.0}])
 def test_dense_subset_matches_full_eigh(mode):
     ops = assemble(unit_disk_mesh(7), P11, BC.FREE)
     assert ops.n <= eigs_mod._DENSE_LIMIT
     r = solve_eigs(ops, **mode)
     full = sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
-    want = full[:9] if "count" in mode else full[full < 40.0]
+    want = full[full < mode["lambda_max"]]
     assert r.method == "dense" and len(r.values) == len(want)
     assert np.max(np.abs(r.values - want)) <= 1e-10 * want.max()
 
@@ -421,7 +431,7 @@ def test_one_shift_factor_survives_a_failed_arpack_seed(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "eigsh", eigsh)
-    r = solve_eigs(ops, count=10)
+    r = solve_eigs(ops, lambda_max=29.0)
     assert len(starts) == 3 and starts[0][0] > 0.0
     (s1, v1), (s2, v2) = starts[1:]
     assert s1 == s2 == 0.0 and v1 != v2  # the retry used the next seed
@@ -450,32 +460,86 @@ def test_inertia_catches_a_dropped_multiplet_copy(monkeypatch, drops):
     monkeypatch.setattr(spla, "eigsh", eigsh)
     if drops is None:
         with pytest.raises(SolverError, match="inertia"):
-            solve_eigs(ops, count=10)
+            solve_eigs(ops, lambda_max=29.0)
     else:
-        r = solve_eigs(ops, count=10)
+        r = solve_eigs(ops, lambda_max=29.0)
         assert len(calls) == 2
         assert list(merge_close(r.values)[1]) == [2, 4, 4]
 
 
+
+
+def _record_shifts(monkeypatch):
+    """The cutoff of every level solve a Richardson study makes, in order."""
+    from elastica.fem import refine
+
+    real, shifts = refine.solve_eigs, []
+
+    def solve(ops, *, lambda_max):
+        shifts.append(lambda_max)
+        return real(ops, lambda_max=lambda_max)
+
+    monkeypatch.setattr(refine, "solve_eigs", solve)
+    return shifts
+
+
+def test_adjudication_study_solves_each_level_once_below_one_and_a_half_cutoffs(monkeypatch):
+    # the criterion-7 pair at its benchmark size: every level solved once at
+    # 1.5 times the cutoff, one SuperLU factor per sparse block, and the
+    # spectrum and its error estimate as they were under the count rule
+    real_splu = spla.splu
+    factors = []
+
+    def splu(*args, **kwargs):
+        factors.append(args[0].shape[0])
+        return real_splu(*args, **kwargs)
+
+    shifts = _record_shifts(monkeypatch)
+    monkeypatch.setattr(spla, "splu", splu)
+    sp, ex = fem_extrapolated_spectrum(UNIT_DISK, P11, BC.DIRICHLET, [12, 24, 48], 100.0)
+    assert shifts == [150.0] * 3
+    assert sp.total_count == 25 and int(ex.flagged.sum()) == 0
+    assert abs(float(sp.meta["max_error_estimate"]) / 0.49878151632161405 - 1.0) <= 1e-8
+    sparse = [n for sizes in ex.block_sizes for n in sizes if n > eigs_mod._DENSE_LIMIT]
+    assert factors == sparse and len(factors) == 8
+
+
+def test_a_short_study_raises_one_shift_for_every_level(monkeypatch):
+    # lambda = -mu square cut at 60: 1.5 cutoffs leave the extrapolated
+    # values short of 60, so every level is solved again at 2.25 cutoffs,
+    # and the study is the one that starts there
+    from elastica.fem import refine
+
+    shifts = _record_shifts(monkeypatch)
+    r = refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [4, 8, 16], 60.0)
+    assert shifts == [90.0] * 3 + [135.0] * 3
+    shifts.clear()
+    monkeypatch.setattr(refine, "_FIRST_SHIFT", 2.25)
+    want = refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [4, 8, 16], 60.0)
+    assert shifts == [135.0] * 3
+    for got, ref in ((r.raw, want.raw), (r.extrapolated, want.extrapolated),
+                     (r.observed_order, want.observed_order), (r.flagged, want.flagged)):
+        assert np.array_equal(got, ref, equal_nan=True)
+    assert r.block_sizes == want.block_sizes == [(8, 10), (48, 50), (224, 226)]
+
+
+def test_a_first_shift_below_every_value_is_raised(monkeypatch):
+    # the lowest value of the mu = lambda = 1 Dirichlet disk is 11.32: cut at
+    # 5, the shifts 7.5 and 11.25 hold no value on any level, and the third
+    # one finishes the study
+    shifts = _record_shifts(monkeypatch)
+    r = refine_and_extrapolate(UNIT_DISK, P11, BC.DIRICHLET, [6, 12, 24], 5.0)
+    assert shifts == [7.5] * 3 + [11.25] * 3 + [16.875] * 3
+    assert r.raw.shape[1] >= 2 and r.extrapolated.min() > 11.0
+
+
 def test_extrapolated_spectrum_short_of_cutoff_raises(monkeypatch):
-    import elastica.fem as fem
-
-    calls = []
-
-    def short(domain, params, bc, resolutions, count):
-        calls.append(count)
-        vals = np.linspace(1.0, 50.0, count)
-        return ExtrapolationResult(
-            resolutions=list(resolutions),
-            h_values=[0.1, 0.05, 0.025],
-            raw=np.vstack([vals] * 3),
-            extrapolated=vals,
-            observed_order=np.full(count, 2.0),
-            flagged=np.zeros(count, dtype=bool),
-            error_estimate=np.zeros(count),
-        )
-
-    monkeypatch.setattr(fem, "refine_and_extrapolate", short)
-    with pytest.raises(SolverError, match=r"reach only 50, below the cutoff 100"):
-        fem.fem_extrapolated_spectrum(UNIT_DISK, P11, BC.DIRICHLET, [8, 16, 32], 100.0)
-    assert len(calls) == 2 and calls[1] > calls[0]
+    # the 4-cell square has 18 unknowns: once all 18 lie below the shift, no
+    # higher shift adds a pair, and the study refuses the cutoff (at 200
+    # after one raise, at 1e4 at once)
+    shifts = _record_shifts(monkeypatch)
+    for cut, tried in ((200.0, [300.0, 450.0]), (1e4, [1.5e4])):
+        shifts.clear()
+        with pytest.raises(SolverError, match=rf"18 extrapolated eigenvalues reach only 164.293, below the cutoff {cut:g}$"):
+            fem_extrapolated_spectrum(UNIT_SQUARE, PDEC, BC.DIRICHLET, [4, 8, 16], cut)
+        assert shifts == [t for t in tried for _ in range(3)]

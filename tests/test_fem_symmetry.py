@@ -92,18 +92,20 @@ def _assert_same_spectrum(got, want):
 
 @pytest.mark.parametrize("mesh", [unit_disk_mesh(8), unit_square_mesh(8), unit_square_mesh(9)])
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
-@pytest.mark.parametrize("mode", [{"count": 30}, {"lambda_max": 150.0}])
+@pytest.mark.parametrize("mode", [{"lambda_max": 40.0}, {"lambda_max": 150.0}])
 def test_block_spectra_match_full_eigh(mesh, bc, mode):
     ops = assemble(mesh, P11, bc)
     r = solve_eigs(ops, **mode)
     assert r.method == "dense" and len(r.block_sizes) == mesh.rotation_order // 2 + 1
     full = sla.eigh(ops.stiffness.toarray(), ops.mass.toarray(), eigvals_only=True)
-    want = full[: mode["count"]] if "count" in mode else full[full < mode["lambda_max"]]
+    want = full[full < mode["lambda_max"]]
     _assert_same_spectrum(r.values, want)
 
 
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
-@pytest.mark.parametrize("mode", [{"count": 40}, {"lambda_max": 100.0}])
+# at 178.64 the whole Dirichlet operator's factor grows its pivots, and the
+# solve certifies through the fallback factor below the spectrum
+@pytest.mark.parametrize("mode", [{"lambda_max": 178.64}, {"lambda_max": 100.0}])
 def test_arpack_blocks_match_the_whole_operator(bc, mode):
     mesh = unit_disk_mesh(24)
     reduced = solve_eigs(assemble(mesh, P11, bc), **mode)
@@ -126,7 +128,8 @@ def test_free_disk_zero_modes_sit_in_blocks_0_and_pm1():
     ]
     for mesh, want in cases:
         ops = assemble(mesh, P11, BC.FREE)
-        r = solve_eigs(ops, count=8)
+        r = solve_eigs(ops, lambda_max=20.0)
+        assert len(r.values) > 3
         assert np.sum(np.abs(r.values) <= 1e-8 * r.values[-1]) == 3
         zeros = {}
         for b in symmetry_blocks(ops):
@@ -188,7 +191,7 @@ def _fail_residuals_on_m1(monkeypatch, times):
 
 @pytest.mark.parametrize(
     "bc, mode",
-    [(BC.DIRICHLET, {"lambda_max": 100.0}), (BC.FREE, {"lambda_max": 100.0}), (BC.DIRICHLET, {"count": 40})],
+    [(BC.DIRICHLET, {"lambda_max": 100.0}), (BC.FREE, {"lambda_max": 100.0}), (BC.DIRICHLET, {"lambda_max": 40.0})],
 )
 def test_a_clean_solve_makes_one_factor_per_block(monkeypatch, bc, mode):
     # the factor that ARPACK inverts also counts the block's values: one splu
@@ -209,43 +212,13 @@ def test_a_clean_solve_makes_one_factor_per_block(monkeypatch, bc, mode):
     assert factors == [b.n for b in blocks]
 
 
-def test_count_mode_raises_tau_until_the_union_holds_count(monkeypatch):
-    # a first tau at half its place holds too few values: every block is
-    # factored again at one higher tau, and the result is the whole operator's
-    mesh = unit_disk_mesh(24)
-    want = solve_eigs(assemble(_whole(mesh), P11, BC.DIRICHLET), count=40).values
-    real_first = eigs_mod._first_tau
-    monkeypatch.setattr(eigs_mod, "_first_tau", lambda ops, count: 0.5 * real_first(ops, count))
-    _, _, made = _count_live_factors(monkeypatch)
-    r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), count=40)
-    assert [m for m, _ in made] == [0, 1, 2, 3, 0, 1, 2, 3]
-    first, second = {s for _, s in made[:4]}, {s for _, s in made[4:]}
-    assert len(first) == len(second) == 1 and min(second) > max(first)
-    _assert_same_spectrum(r.values, want)
-
-
-def test_cutoff_mode_needs_no_estimate(monkeypatch):
-    # tau is the cutoff itself, so no Weyl estimate sizes a block and no block
-    # grows: each is factored once, at the cutoff
-    mesh = unit_disk_mesh(24)
-    want = solve_eigs(assemble(_whole(mesh), P11, BC.DIRICHLET), lambda_max=100.0).values
-
-    def estimate(*args):
-        raise AssertionError("cutoff mode read the Weyl estimate")
-
-    monkeypatch.setattr(eigs_mod, "weyl_count_estimate", estimate)
-    monkeypatch.setattr(eigs_mod, "_weyl_terms", estimate)
-    _, _, made = _count_live_factors(monkeypatch)
-    r = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), lambda_max=100.0)
-    assert made == [(0, 100.0), (1, 100.0), (2, 100.0), (3, 100.0)]
-    _assert_same_spectrum(r.values, want)
-
-
 def test_a_block_that_cannot_grow_raises():
-    # more values than unknowns: every dense block is complete and still short
-    ops = assemble(unit_disk_mesh(3), P11, BC.DIRICHLET)
-    with pytest.raises(SolverError, match="cannot grow"):
-        solve_eigs(ops, count=ops.n + 1)
+    # a cutoff above the whole spectrum: ARPACK cannot return all n values of
+    # a sparse block (it needs fewer than n - 1), so the block refuses it
+    ops = assemble(_whole(unit_disk_mesh(15)), P11, BC.DIRICHLET)
+    assert ops.n > eigs_mod._DENSE_LIMIT
+    with pytest.raises(SolverError, match=rf"cannot return more than {ops.n - 2} values: {ops.n} lie below"):
+        solve_eigs(ops, lambda_max=1e9)
 
 
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
@@ -299,9 +272,9 @@ def test_inertia_catches_a_copy_dropped_inside_a_block(monkeypatch, drops):
     monkeypatch.setattr(spla, "splu", splu)
     if drops is None:
         with pytest.raises(SolverError, match="inertia"):
-            solve_eigs(ops, count=10)
+            solve_eigs(ops, lambda_max=29.0)
         return
-    r = solve_eigs(ops, count=10)
+    r = solve_eigs(ops, lambda_max=29.0)
     # block 0 twice (the tau start, then the fallback), then one call per block
     assert len(calls) == 5
     # block 0: tau (its count refuses the answer), then one factor below the
@@ -312,10 +285,9 @@ def test_inertia_catches_a_copy_dropped_inside_a_block(monkeypatch, drops):
 
 
 def test_singular_free_cutoff_needs_no_growth(monkeypatch):
-    # lambda = -mu, traction free: CFLV's b is infinite, and a Weyl estimate
-    # that took Liu's b_plus alone once sized every block too small.  Every
-    # block is factored once at the cutoff; a tau start that is not certified
-    # adds one factor below the spectrum, and nothing else is factored
+    # lambda = -mu, traction free, where CFLV's b is infinite: every block is
+    # factored once at the cutoff; a tau start that is not certified adds one
+    # factor below the spectrum, and nothing else is factored
     ops = assemble(unit_disk_mesh(48), PDEC, BC.FREE)
     _, _, made = _count_live_factors(monkeypatch)
     r = solve_eigs(ops, lambda_max=60.0)
@@ -328,7 +300,7 @@ def test_singular_free_cutoff_needs_no_growth(monkeypatch):
 
 
 @pytest.mark.parametrize("bc", [BC.DIRICHLET, BC.FREE])
-@pytest.mark.parametrize("mode", [{"count": 40}, {"lambda_max": 100.0}])
+@pytest.mark.parametrize("mode", [{"lambda_max": 40.0}, {"lambda_max": 100.0}])
 @pytest.mark.parametrize("retries", [0, 1, None])
 def test_one_superlu_factor_is_alive_at_a_time(monkeypatch, bc, mode, retries):
     # the cyclic collector is off, so a factor that only a reference cycle
@@ -417,9 +389,9 @@ def test_residual_gate_does_not_depend_on_units():
     # mu = lambda = 1e3 scales A by 1e3 and leaves M alone; the old gate on
     # ||A x - lam M x|| / ||M x|| refused this solve on every seed
     mesh = unit_disk_mesh(24)
-    unit = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), count=41)
-    big = solve_eigs(assemble(mesh, LameParams(1e3, 1e3), BC.DIRICHLET), count=41)
-    assert big.method == "lanczos" and len(big.values) == 41
+    unit = solve_eigs(assemble(mesh, P11, BC.DIRICHLET), lambda_max=100.0)
+    big = solve_eigs(assemble(mesh, LameParams(1e3, 1e3), BC.DIRICHLET), lambda_max=1e5)
+    assert big.method == "lanczos" and len(big.values) == len(unit.values) >= 20
     np.testing.assert_allclose(big.values, 1e3 * unit.values, rtol=1e-10)
     assert big.residuals.max() <= eigs_mod._RESID_TOL
 
@@ -437,4 +409,4 @@ def test_residual_gate_rejects_a_perturbed_vector(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", eigsh)
     with pytest.raises(SolverError, match=rf"residual \S+ above {eigs_mod._RESID_TOL:g} \(seed 4\)"):
-        solve_eigs(ops, count=10)
+        solve_eigs(ops, lambda_max=50.0)
