@@ -414,7 +414,9 @@ def test_dense_subset_matches_full_eigh(mode):
 
 def test_one_shift_factor_survives_a_failed_arpack_seed(monkeypatch):
     # the tau start and the fallback's first seed do not converge: the next
-    # seed reuses the fallback's factor below the spectrum
+    # seed reuses the fallback's factor below the spectrum.  The tau start
+    # stops at the certificate's tolerance; the fallback, run only where that
+    # start failed, keeps ARPACK's full precision (tol 0, its default)
     ops = _sparse_ops(15, PDEC, BC.DIRICHLET)
     real_splu, real_eigsh = spla.splu, spla.eigsh
     factors, starts = [], []
@@ -424,7 +426,7 @@ def test_one_shift_factor_survives_a_failed_arpack_seed(monkeypatch):
         return real_splu(*args, **kwargs)
 
     def eigsh(*args, **kwargs):
-        starts.append((kwargs["sigma"], kwargs["v0"][0]))
+        starts.append((kwargs["sigma"], kwargs["v0"][0], kwargs.get("tol", 0)))
         if len(starts) <= 2:
             raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((ops.n, 0)))
         return real_eigsh(*args, **kwargs)
@@ -433,8 +435,10 @@ def test_one_shift_factor_survives_a_failed_arpack_seed(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", eigsh)
     r = solve_eigs(ops, lambda_max=29.0)
     assert len(starts) == 3 and starts[0][0] > 0.0
-    (s1, v1), (s2, v2) = starts[1:]
+    assert starts[0][2] == eigs_mod._RESID_TOL
+    (s1, v1, t1), (s2, v2, t2) = starts[1:]
     assert s1 == s2 == 0.0 and v1 != v2  # the retry used the next seed
+    assert t1 == t2 == 0
     # the tau factor, then one factor below the spectrum for both seeds
     assert len(factors) == 2
     assert list(merge_close(r.values)[1]) == [2, 4, 4]

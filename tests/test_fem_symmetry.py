@@ -191,12 +191,16 @@ def _fail_residuals_on_m1(monkeypatch, times):
 
 @pytest.mark.parametrize(
     "bc, mode",
-    [(BC.DIRICHLET, {"lambda_max": 100.0}), (BC.FREE, {"lambda_max": 100.0}), (BC.DIRICHLET, {"lambda_max": 40.0})],
+    # mode: (rings, cutoff); the last is the FEM level of
+    # `elastica spectrum --method both` on the free disk at --h 0.035
+    [(BC.DIRICHLET, (24, 100.0)), (BC.FREE, (24, 100.0)), (BC.DIRICHLET, (24, 40.0)), (BC.FREE, (51, 80.0))],
 )
 def test_a_clean_solve_makes_one_factor_per_block(monkeypatch, bc, mode):
     # the factor that ARPACK inverts also counts the block's values: one splu
-    # call per sparse block, where a separate inertia factor made two
-    ops = assemble(unit_disk_mesh(24), P11, bc)
+    # call per sparse block, where a separate inertia factor made two.  ARPACK
+    # stops at the certificate's tolerance, and no block falls back
+    rings, lambda_max = mode
+    ops = assemble(unit_disk_mesh(rings), P11, bc)
     blocks = symmetry_blocks(ops)
     assert min(b.n for b in blocks) > eigs_mod._DENSE_LIMIT
     real_splu = spla.splu
@@ -207,7 +211,7 @@ def test_a_clean_solve_makes_one_factor_per_block(monkeypatch, bc, mode):
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", splu)
-    r = solve_eigs(ops, **mode)
+    r = solve_eigs(ops, lambda_max=lambda_max)
     assert r.method == "lanczos" and r.residuals.max() <= eigs_mod._RESID_TOL
     assert factors == [b.n for b in blocks]
 
