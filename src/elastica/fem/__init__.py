@@ -23,14 +23,13 @@ from .analytic import (
 )
 from .assemble import Operators, assemble
 from .eigs import _ZERO_REL, EigResult, solve_eigs
-from .mesh import Mesh, min_angle_deg, unit_disk_mesh, unit_square_mesh
+from .mesh import Mesh, unit_disk_mesh, unit_square_mesh
 from .refine import ExtrapolationResult, build_mesh, refine_and_extrapolate
 
 __all__ = [
     "Mesh",
     "unit_square_mesh",
     "unit_disk_mesh",
-    "min_angle_deg",
     "Operators",
     "assemble",
     "EigResult",
@@ -89,9 +88,10 @@ def fem_extrapolated_spectrum(
     Runs the refinement study of ``refine_and_extrapolate``, which raises
     its one shift until the extrapolated values reach the cutoff, and
     assembles a Spectrum whose per-eigenvalue discretization-error
-    estimates ride along in the ExtrapolationResult.  A study that cannot
-    reach the cutoff raises SolverError rather than label a truncated
-    spectrum complete.  Traction free at lambda = -mu raises
+    estimates ride along in the ExtrapolationResult.  A study cannot reach
+    the cutoff once a level returns every eigenvalue of its problem; it then
+    raises SolverError, before any finer level is solved, rather than label
+    a truncated spectrum complete.  Traction free at lambda = -mu raises
     SingularLimitError.
     """
     check_cutoff(lambda_max)

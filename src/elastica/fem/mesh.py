@@ -49,17 +49,6 @@ def _orient_ccw(vertices, triangles):
     return triangles
 
 
-def min_angle_deg(mesh: Mesh) -> float:
-    p = mesh.vertices[mesh.triangles]
-    angles = []
-    for i in range(3):
-        a = p[:, (i + 1) % 3] - p[:, i]
-        b = p[:, (i + 2) % 3] - p[:, i]
-        cosv = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-        angles.append(np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0))))
-    return float(np.min(angles))
-
-
 def unit_square_mesh(m: int) -> Mesh:
     """m x m grid of squares, each split along the same diagonal."""
     if m < 2:

@@ -55,9 +55,10 @@ def refine_and_extrapolate(
     Every level is solved below one shift tau, and the lowest count values
     of the levels are paired by index, count being the fewest values any
     level returned.  While there is no pair, or the largest extrapolated
-    value lies below the cutoff, tau grows and every level is solved again;
-    once the level with the fewest values holds every eigenvalue of its
-    problem, SolverError is raised.
+    value lies below the cutoff, tau grows and every level is solved again.
+    As soon as a level returns every eigenvalue of its problem, SolverError
+    is raised before any finer level is solved: no higher tau can add a
+    pair, and the top of a P1 spectrum is a mesh artefact.
     """
     check_cutoff(lambda_max)
     if len(resolutions) < 3:
@@ -69,14 +70,18 @@ def refine_and_extrapolate(
 
     tau = _FIRST_SHIFT * lambda_max
     while True:
-        levels, unknowns, hs, blocks = [], [], [], []
+        levels, hs, blocks = [], [], []
         for res in resolutions:
             mesh = build_mesh(domain, res)
             hs.append(mesh.h)
             ops = assemble(mesh, params, bc)
             sol = solve_eigs(ops, lambda_max=tau)
+            if len(sol.values) == ops.n:
+                raise SolverError(
+                    f"every eigenvalue of the resolution-{res} level ({ops.n} unknowns) lies below "
+                    f"the shift {tau:g}, so no shift reaches the cutoff {lambda_max:g}"
+                )
             levels.append(sol.values)  # every value below tau, ascending
-            unknowns.append(ops.n)
             blocks.append(sol.block_sizes)
         count = min(len(v) for v in levels)
         raw = np.vstack([v[:count] for v in levels])
@@ -92,11 +97,6 @@ def refine_and_extrapolate(
         extrapolated[fit] = e3[fit] - d23[fit] / (r ** order[fit] - 1.0)
         if count and extrapolated.max() >= lambda_max:
             break
-        if any(len(v) == count == n for v, n in zip(levels, unknowns)):
-            raise SolverError(
-                f"{count} extrapolated eigenvalues reach only {extrapolated.max():.6g}, "
-                f"below the cutoff {lambda_max:g}"
-            )
         tau *= _SHIFT_GROWTH
     return ExtrapolationResult(
         resolutions=list(resolutions),

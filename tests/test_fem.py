@@ -15,7 +15,6 @@ from elastica.fem import (
     disk_dirichlet_spectrum,
     fem_extrapolated_spectrum,
     fem_spectrum,
-    min_angle_deg,
     refine_and_extrapolate,
     solve_eigs,
     square_dirichlet_spectrum,
@@ -34,9 +33,20 @@ PDEC = LameParams(1.0, -1.0)
 P11 = LameParams(1.0, 1.0)
 
 
+def _min_angle_deg(mesh: Mesh) -> float:
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cosv = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0))))
+    return float(np.min(angles))
+
+
 def test_square_mesh_quality():
     m = unit_square_mesh(8)
-    assert min_angle_deg(m) >= 20.0
+    assert _min_angle_deg(m) >= 20.0
     assert np.all(_signed_areas(m.vertices, m.triangles) > 0)
     assert abs(_signed_areas(m.vertices, m.triangles).sum() - 1.0) < 1e-12
     on_edge = (
@@ -48,7 +58,7 @@ def test_square_mesh_quality():
 
 def test_disk_mesh_quality():
     m = unit_disk_mesh(10)
-    assert min_angle_deg(m) >= 20.0
+    assert _min_angle_deg(m) >= 20.0
     r = np.linalg.norm(m.vertices[m.boundary], axis=1)
     assert np.max(np.abs(r - 1.0)) < 1e-12
     # inscribed polygon area approaches pi from below
@@ -538,12 +548,20 @@ def test_a_first_shift_below_every_value_is_raised(monkeypatch):
 
 
 def test_extrapolated_spectrum_short_of_cutoff_raises(monkeypatch):
-    # the 4-cell square has 18 unknowns: once all 18 lie below the shift, no
-    # higher shift adds a pair, and the study refuses the cutoff (at 200
-    # after one raise, at 1e4 at once)
+    # once a level returns every eigenvalue of its problem, no higher shift
+    # adds a pair, and the study refuses the cutoff at that level, before any
+    # finer one is solved: the 4-cell square (18 unknowns) at 200 after one
+    # raise, at 1e4 at once, and the 6-ring disk (182 unknowns) at 3000 at once
     shifts = _record_shifts(monkeypatch)
-    for cut, tried in ((200.0, [300.0, 450.0]), (1e4, [1.5e4])):
+    cases = (
+        (UNIT_SQUARE, PDEC, [4, 8, 16], 200.0, 18, [300.0] * 3 + [450.0]),
+        (UNIT_SQUARE, PDEC, [4, 8, 16], 1e4, 18, [1.5e4]),
+        (UNIT_DISK, P11, [6, 12, 24], 3000.0, 182, [4500.0]),
+    )
+    for domain, params, resolutions, cut, n, tried in cases:
         shifts.clear()
-        with pytest.raises(SolverError, match=rf"18 extrapolated eigenvalues reach only 164.293, below the cutoff {cut:g}$"):
-            fem_extrapolated_spectrum(UNIT_SQUARE, PDEC, BC.DIRICHLET, [4, 8, 16], cut)
-        assert shifts == [t for t in tried for _ in range(3)]
+        want = (rf"every eigenvalue of the resolution-{resolutions[0]} level \({n} unknowns\) lies below "
+                rf"the shift {tried[-1]:g}, so no shift reaches the cutoff {cut:g}$")
+        with pytest.raises(SolverError, match=want):
+            fem_extrapolated_spectrum(domain, params, BC.DIRICHLET, resolutions, cut)
+        assert shifts == tried
