@@ -3,7 +3,8 @@
 Subcommands: ``coeffs`` (closed-form coefficients), ``spectrum`` (compute
 and write eigenvalue files), ``fit`` (asymptotic coefficient extraction),
 ``verify`` (symbol/cancellation checks).  Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 incompatible-parameter error.
+verification failure, 2 usage error, 3 any refusal the library raises
+(``ElasticaError``): ``main`` prints it as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -40,15 +41,7 @@ from .coeffs import (
     weyl_two_term,
 )
 from .diskmodes import disk_spectrum_potential
-from .errors import (
-    DegenerateDecompositionError,
-    ElasticaError,
-    ParameterDomainError,
-    SingularLimitError,
-    SolverError,
-    TailBoundError,
-    WindowError,
-)
+from .errors import ElasticaError, ParameterDomainError, TailBoundError
 from .fem import analytic_decoupled_spectrum, fem_spectrum
 from .params import BoundaryCondition, DomainName, DomainGeometry, LameParams
 from .spectrum import read_spectrum, write_spectrum
@@ -109,26 +102,22 @@ def cmd_coeffs(parser, args) -> int:
         "gamma_r": {"value": root.gamma_r, "residual": root.residual},
     }
     heat = {}
-    try:
-        for th in theories:
-            w = weyl_two_term(params, n, th)
-            h = heat[th] = to_heat_coeffs(w)
-            s = sum_test(w)
-            outputs[th.value] = {
-                "a": {"value": w.a, "tolerance": 1e-14},
-                "b_minus": {"value": w.b_minus, "tolerance": _QUAD_TOL},
-                "b_plus": {"value": w.b_plus, "tolerance": _QUAD_TOL},
-                "a_tilde": {"value": h.a_tilde, "tolerance": 1e-14},
-                "b_tilde_minus": {"value": h.b_tilde_minus, "tolerance": _QUAD_TOL},
-                "b_tilde_plus": {"value": h.b_tilde_plus, "tolerance": _QUAD_TOL},
-                "sum_test": {"value": s.total, "tolerance": SUM_TEST_REL_TOL,
-                             "verdict": "PASS" if s.passed else "FAIL"},
-            }
-        # the heat closed form is Liu's pair converted, the same b~ a fit is measured against
-        ht = heat.get(Theory.LIU) or to_heat_coeffs(weyl_two_term(params, n, Theory.LIU))
-    except ElasticaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    for th in theories:
+        w = weyl_two_term(params, n, th)
+        h = heat[th] = to_heat_coeffs(w)
+        s = sum_test(w)
+        outputs[th.value] = {
+            "a": {"value": w.a, "tolerance": 1e-14},
+            "b_minus": {"value": w.b_minus, "tolerance": _QUAD_TOL},
+            "b_plus": {"value": w.b_plus, "tolerance": _QUAD_TOL},
+            "a_tilde": {"value": h.a_tilde, "tolerance": 1e-14},
+            "b_tilde_minus": {"value": h.b_tilde_minus, "tolerance": _QUAD_TOL},
+            "b_tilde_plus": {"value": h.b_tilde_plus, "tolerance": _QUAD_TOL},
+            "sum_test": {"value": s.total, "tolerance": SUM_TEST_REL_TOL,
+                         "verdict": "PASS" if s.passed else "FAIL"},
+        }
+    # the heat closed form is Liu's pair converted, the same b~ a fit is measured against
+    ht = heat.get(Theory.LIU) or to_heat_coeffs(weyl_two_term(params, n, Theory.LIU))
     outputs["heat_closed_form"] = {
         "a_tilde": {"value": ht.a_tilde, "tolerance": 1e-14},
         "b_tilde_minus": {"value": ht.b_tilde_minus, "tolerance": 1e-14},
@@ -171,38 +160,34 @@ def cmd_spectrum(parser, args) -> int:
         return fem_spectrum(domain, params, bc, res, args.lambda_max)
 
     def analytic():
-        if abs(params.lam + params.mu) > 1e-12:
+        if not params.decoupled:
             raise ParameterDomainError("analytic decoupled spectra require lambda = -mu")
         return analytic_decoupled_spectrum(domain, params.mu, args.lambda_max, bc)
 
-    try:
-        if args.method == "both":
-            sp = potential()
-            sf = fem()
-            p_path = out.with_suffix(".potential.csv")
-            f_path = out.with_suffix(".fem.csv")
-            write_spectrum(sp, p_path)
-            write_spectrum(sf, f_path)
-            cmp_ = compare_spectra(sp, sf)
-            report = _write_report(
-                out.with_suffix(".compare.json"),
-                "spectrum",
-                {"domain": args.domain, "bc": args.bc, "mu": params.mu, "lambda": params.lam,
-                 "lambda_max": args.lambda_max, "method": "both"},
-                cmp_.summary(),
-            )
-            print(f"wrote {p_path}, {f_path}, and comparison "
-                  f"(counts {cmp_.count_a} vs {cmp_.count_b}, "
-                  f"{'no divergences' if cmp_.counts_match_everywhere else f'{len(cmp_.divergences)} divergences'})")
-            return 0
-        sp = {"potential": potential, "fem": fem, "analytic": analytic}[args.method]()
-        write_spectrum(sp, out)
-        print(f"wrote {out} ({sp.total_count} eigenvalues with multiplicity, "
-              f"cutoff {sp.lambda_max:g})")
+    if args.method == "both":
+        sp = potential()
+        sf = fem()
+        p_path = out.with_suffix(".potential.csv")
+        f_path = out.with_suffix(".fem.csv")
+        write_spectrum(sp, p_path)
+        write_spectrum(sf, f_path)
+        cmp_ = compare_spectra(sp, sf)
+        _write_report(
+            out.with_suffix(".compare.json"),
+            "spectrum",
+            {"domain": args.domain, "bc": args.bc, "mu": params.mu, "lambda": params.lam,
+             "lambda_max": args.lambda_max, "method": "both"},
+            cmp_.summary(),
+        )
+        print(f"wrote {p_path}, {f_path}, and comparison "
+              f"(counts {cmp_.count_a} vs {cmp_.count_b}, "
+              f"{'no divergences' if cmp_.counts_match_everywhere else f'{len(cmp_.divergences)} divergences'})")
         return 0
-    except (DegenerateDecompositionError, SingularLimitError, ParameterDomainError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    sp = {"potential": potential, "fem": fem, "analytic": analytic}[args.method]()
+    write_spectrum(sp, out)
+    print(f"wrote {out} ({sp.total_count} eigenvalues with multiplicity, "
+          f"cutoff {sp.lambda_max:g})")
+    return 0
 
 
 def cmd_fit(parser, args) -> int:
@@ -220,13 +205,9 @@ def cmd_fit(parser, args) -> int:
         if not lo < hi:
             parser.error(f"--window expects lo < hi, got {args.window!r}")
         window = fit_window(args.model, lo, hi)
-    try:
-        rep = fit_two_term(spectrum, args.model, window=window)
-        # window-stability indicator: same fit on a shifted window
-        rep2 = fit_two_term(spectrum, args.model, window=shifted_window(rep, spectrum))
-    except (TailBoundError, WindowError, ParameterDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    rep = fit_two_term(spectrum, args.model, window=window)
+    # window-stability indicator: same fit on a shifted window
+    rep2 = fit_two_term(spectrum, args.model, window=shifted_window(rep, spectrum))
     if args.csv:
         if args.model == "heat":
             write_heat_csv(args.csv, heat_trace(spectrum, np.geomspace(*rep.window, 200)))
@@ -281,29 +262,25 @@ def cmd_verify(parser, args) -> int:
     params = _params_or_usage(parser, args)
     n = args.dim
     outputs = {}
-    try:
-        reports = {s: _suite_reports(s, params, n) for s in _SUITE_TOL if args.suite in (s, "all")}
-        for suite, reps in reports.items():
-            outputs[suite] = {"max_gap": max(r.rel_gap for r in reps), "tolerance": _SUITE_TOL[suite],
-                              "verdict": "PASS" if all(r.passed for r in reps) else "FAIL"}
-        if "boundary" in reports:
-            outputs["boundary"]["tail_ratios"] = [r.detail["tail_ratio"] for r in reports["boundary"]]
-        if args.suite in ("prop71", "all"):
-            # under --suite all the verdict chains the reports above
-            v = (prop71_verdict(params, n, reports["residue"], reports["interior"], reports["boundary"])
-                 if reports else prop71_analytic(params, n))
-            outputs["prop71"] = {
-                "max_residue_gap": max(v.residue_gaps),
-                "max_interior_gap": max(v.interior_gaps),
-                "max_boundary_gap": max(v.boundary_gaps),
-                "tolerance": RESIDUE_GAP_TOL,
-                "conclusion": v.conclusion,
-                "premises": list(v.premises),
-                "verdict": "PASS" if v.passed else "FAIL",
-            }
-    except ElasticaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    reports = {s: _suite_reports(s, params, n) for s in _SUITE_TOL if args.suite in (s, "all")}
+    for suite, reps in reports.items():
+        outputs[suite] = {"max_gap": max(r.rel_gap for r in reps), "tolerance": _SUITE_TOL[suite],
+                          "verdict": "PASS" if all(r.passed for r in reps) else "FAIL"}
+    if "boundary" in reports:
+        outputs["boundary"]["tail_ratios"] = [r.detail["tail_ratio"] for r in reports["boundary"]]
+    if args.suite in ("prop71", "all"):
+        # under --suite all the verdict chains the reports above
+        v = (prop71_verdict(params, n, reports["residue"], reports["interior"], reports["boundary"])
+             if reports else prop71_analytic(params, n))
+        outputs["prop71"] = {
+            "max_residue_gap": max(v.residue_gaps),
+            "max_interior_gap": max(v.interior_gaps),
+            "max_boundary_gap": max(v.boundary_gaps),
+            "tolerance": RESIDUE_GAP_TOL,
+            "conclusion": v.conclusion,
+            "premises": list(v.premises),
+            "verdict": "PASS" if v.passed else "FAIL",
+        }
     for name, rep in outputs.items():
         print(f"{name}: {rep['verdict']}")
     if args.json:
@@ -365,7 +342,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # names resolved per call, so a command replaced after the parser was built still runs
     commands = {"coeffs": cmd_coeffs, "spectrum": cmd_spectrum, "fit": cmd_fit, "verify": cmd_verify}
-    return commands[args.command](parser, args)
+    try:
+        return commands[args.command](parser, args)
+    except ElasticaError as exc:  # every refusal the library raises
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

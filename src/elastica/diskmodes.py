@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDecompositionError, ParameterDomainError, SolverError
-from .params import ALPHA_DECOUPLED_TOL, BoundaryCondition, LameParams, UNIT_DISK, check_cutoff
+from .params import BoundaryCondition, LameParams, UNIT_DISK, check_cutoff
 from .coeffs import rayleigh_root
 from .spectrum import Method, Spectrum
 from .specfun import _backend
@@ -29,7 +29,7 @@ _MAX_STEP_HALVINGS = 6
 
 
 def _check_alpha(params: LameParams, bc: BoundaryCondition):
-    if abs(params.alpha - 1.0) <= ALPHA_DECOUPLED_TOL:
+    if params.decoupled:
         if bc is BoundaryCondition.FREE:
             # no other route has a spectrum here either (fem._refuse_free_decoupled)
             hint = ("traction free, every displacement with u_1 + i u_2 holomorphic has zero energy, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularLimitError
-from ..params import ALPHA_DECOUPLED_TOL, BoundaryCondition, DomainGeometry, LameParams, check_cutoff
+from ..params import BoundaryCondition, DomainGeometry, LameParams, check_cutoff
 from ..spectrum import Method, Spectrum, merge_close
 from .analytic import (
     analytic_decoupled_spectrum,
@@ -54,7 +54,7 @@ def _refuse_free_decoupled(params: LameParams, bc: BoundaryCondition) -> None:
     u_1 + i u_2 holomorphic: an infinite-dimensional kernel, so the P1 count
     below a fixed cutoff grows without bound under refinement.
     """
-    if bc is BoundaryCondition.FREE and abs(params.alpha - 1.0) <= ALPHA_DECOUPLED_TOL:
+    if bc is BoundaryCondition.FREE and params.decoupled:
         raise SingularLimitError(
             "traction-free spectrum at lambda = -mu: every displacement with u_1 + i u_2 holomorphic "
             "has zero energy, so the FEM count below a cutoff grows with refinement"

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import ParameterDomainError
 from ..params import BoundaryCondition, DomainGeometry, DomainName, LameParams, UNIT_DISK, UNIT_SQUARE, check_cutoff
 from ..specfun import bessel_zeros
+from ..specfun.bessel import _MAX_ORDER
 from ..spectrum import Method, Spectrum
 
 
@@ -31,11 +32,12 @@ def _square_lattice(mu, lambda_max, include_zero):
 
 
 def square_dirichlet_spectrum(mu: float, lambda_max: float) -> Spectrum:
-    values, mults, tags = _square_lattice(mu, lambda_max, include_zero=False)
+    params = LameParams(mu, -mu)
+    values, mults, tags = _square_lattice(params.mu, lambda_max, include_zero=False)
     return Spectrum(
         domain=UNIT_SQUARE,
         bc=BoundaryCondition.DIRICHLET,
-        params=LameParams(mu, -mu),
+        params=params,
         eigenvalues=values,
         multiplicities=mults,
         mode_tags=tags,
@@ -46,11 +48,12 @@ def square_dirichlet_spectrum(mu: float, lambda_max: float) -> Spectrum:
 
 def square_neumann_lattice_spectrum(mu: float, lambda_max: float) -> Spectrum:
     """Scalar Neumann lattice mu*pi^2*(p^2+q^2), p,q >= 0, doubled."""
-    values, mults, tags = _square_lattice(mu, lambda_max, include_zero=True)
+    params = LameParams(mu, -mu)
+    values, mults, tags = _square_lattice(params.mu, lambda_max, include_zero=True)
     return Spectrum(
         domain=UNIT_SQUARE,
         bc=BoundaryCondition.FREE,
-        params=LameParams(mu, -mu),
+        params=params,
         eigenvalues=values,
         multiplicities=mults,
         mode_tags=tags,
@@ -64,21 +67,28 @@ def disk_dirichlet_spectrum(mu: float, lambda_max: float) -> Spectrum:
 
     One ``bessel_zeros`` call over every order that can have a zero below
     jmax = sqrt(lambda_max/mu), with the cutoff jmax: only the zeros kept are
-    made, each bit for bit the one the count form would give.
+    made, each bit for bit the one the count form would give.  A cutoff that
+    needs an order above the zero table's bound is refused before any zero
+    is made.
     """
+    params = LameParams(mu, -mu)
     check_cutoff(lambda_max)
-    jmax = math.sqrt(lambda_max / mu)
+    jmax = math.sqrt(lambda_max / params.mu)
     # j_{k,1} > k + 1.8557*k^(1/3) (Qu & Wong 1999), so no other order has a zero below jmax
     ks = np.arange(int(jmax) + 1)
-    zeros = bessel_zeros(ks[ks + 1.85 * np.cbrt(ks) <= jmax], int(jmax / math.pi) + 2, below=jmax)
+    ks = ks[ks + 1.85 * np.cbrt(ks) <= jmax]
+    if ks[-1] > _MAX_ORDER:
+        raise ParameterDomainError(f"lambda_max = {lambda_max:g} needs Bessel orders up to {ks[-1]} "
+                                   f"at mu = {params.mu:g}, above the supported {_MAX_ORDER}")
+    zeros = bessel_zeros(ks, int(jmax / math.pi) + 2, below=jmax)
     k, m = np.nonzero(zeros <= jmax)
-    values = mu * zeros[k, m] * zeros[k, m]
+    values = params.mu * zeros[k, m] * zeros[k, m]
     order = np.argsort(values, kind="stable")
     k, m = k[order], m[order] + 1
     return Spectrum(
         domain=UNIT_DISK,
         bc=BoundaryCondition.DIRICHLET,
-        params=LameParams(mu, -mu),
+        params=params,
         eigenvalues=values[order],
         multiplicities=np.where(k == 0, 2, 4),
         mode_tags=np.char.add(np.char.add("k", k.astype(str)), np.char.add("m", m.astype(str))).tolist(),
@@ -91,8 +101,6 @@ def analytic_decoupled_spectrum(
     domain: DomainGeometry, mu: float, lambda_max: float, bc: BoundaryCondition = BoundaryCondition.DIRICHLET
 ) -> Spectrum:
     """Exact decoupled spectrum (implicitly lambda = -mu) below lambda_max."""
-    if mu <= 0:
-        raise ParameterDomainError(f"mu must be positive, got {mu}")
     if domain.name is DomainName.UNIT_SQUARE:
         if bc is BoundaryCondition.DIRICHLET:
             return square_dirichlet_spectrum(mu, lambda_max)

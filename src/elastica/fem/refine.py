@@ -32,8 +32,7 @@ def build_mesh(domain: DomainGeometry, resolution: int) -> Mesh:
 @dataclass
 class ExtrapolationResult:
     resolutions: list[int]
-    h_values: list[float]
-    raw: np.ndarray  # (n_levels, count) lowest eigenvalues per level, ascending
+    raw: np.ndarray  # (3, count) lowest eigenvalues per level, ascending
     extrapolated: np.ndarray
     observed_order: np.ndarray
     flagged: np.ndarray  # True where convergence was non-monotone
@@ -49,7 +48,7 @@ def refine_and_extrapolate(
     resolutions: list[int],
     lambda_max: float,
 ) -> ExtrapolationResult:
-    """Per-eigenvalue Richardson extrapolation over >= 3 geometric mesh
+    """Per-eigenvalue Richardson extrapolation over exactly 3 geometric mesh
     levels, of enough eigenvalues to reach the cutoff lambda_max.
 
     Every level is solved below one shift tau, and the lowest count values
@@ -61,19 +60,17 @@ def refine_and_extrapolate(
     pair, and the top of a P1 spectrum is a mesh artefact.
     """
     check_cutoff(lambda_max)
-    if len(resolutions) < 3:
-        raise ParameterDomainError("need at least 3 mesh resolutions")
-    ratios = [resolutions[i + 1] / resolutions[i] for i in range(len(resolutions) - 1)]
-    if any(abs(r - ratios[0]) > 1e-12 for r in ratios):
+    if len(resolutions) != 3:
+        raise ParameterDomainError(f"need exactly 3 mesh resolutions, got {len(resolutions)}")
+    r = resolutions[1] / resolutions[0]
+    if abs(resolutions[2] / resolutions[1] - r) > 1e-12:
         raise ParameterDomainError("resolutions must be in geometric progression")
-    r = ratios[0]
 
     tau = _FIRST_SHIFT * lambda_max
     while True:
-        levels, hs, blocks = [], [], []
+        levels, blocks = [], []
         for res in resolutions:
             mesh = build_mesh(domain, res)
-            hs.append(mesh.h)
             ops = assemble(mesh, params, bc)
             sol = solve_eigs(ops, lambda_max=tau)
             if len(sol.values) == ops.n:
@@ -85,7 +82,7 @@ def refine_and_extrapolate(
             blocks.append(sol.block_sizes)
         count = min(len(v) for v in levels)
         raw = np.vstack([v[:count] for v in levels])
-        e1, e2, e3 = raw[-3], raw[-2], raw[-1]
+        e1, e2, e3 = raw
         d12, d23 = e1 - e2, e2 - e3
         # extrapolate where convergence is monotone and not yet complete; the rest
         # keep e3, and the non-monotone ones (corner-singularity suspects) are flagged
@@ -100,7 +97,6 @@ def refine_and_extrapolate(
         tau *= _SHIFT_GROWTH
     return ExtrapolationResult(
         resolutions=list(resolutions),
-        h_values=hs,
         raw=raw,
         extrapolated=extrapolated,
         observed_order=order,

@@ -37,7 +37,9 @@ class LameParams:
 
     ``alpha`` is the squared shear/compressional wave-speed ratio
     mu / (lambda + 2*mu); it is always derived, never stored independently,
-    and lies in (0, 1] with alpha = 1 iff lambda + mu = 0.
+    and lies in (0, 1] with alpha = 1 iff lambda + mu = 0.  ``decoupled``
+    is the one test of lambda = -mu that every route reads:
+    |alpha - 1| <= ALPHA_DECOUPLED_TOL.
     """
 
     mu: float
@@ -52,6 +54,11 @@ class LameParams:
     @property
     def alpha(self) -> float:
         return self.mu / (self.lam + 2.0 * self.mu)
+
+    @property
+    def decoupled(self) -> bool:
+        """True at lambda = -mu (alpha = 1 to ALPHA_DECOUPLED_TOL)."""
+        return abs(self.alpha - 1.0) <= ALPHA_DECOUPLED_TOL
 
     @property
     def pressure_speed2(self) -> float:

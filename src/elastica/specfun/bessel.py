@@ -34,8 +34,12 @@ def bessel_zeros(k, m: int, below: float | None = None) -> np.ndarray:
     if not isinstance(m, (int, np.integer)) or m < 0 or m > 10_000:
         raise RangeError(f"zero count must be an integer in [0, 10000], got {m!r}")
     ks = np.asarray(k)
-    if ks.ndim > 1 or ks.dtype.kind not in "iu" or np.any((ks < 0) | (ks > _MAX_ORDER)):
-        raise RangeError(f"order must be an integer in [0, {_MAX_ORDER}], got {k!r}")
+    if ks.ndim > 1 or ks.dtype.kind not in "iu":
+        raise RangeError(f"order must be an integer or a 1-D integer array, got {ks.dtype} of shape {ks.shape}")
+    bad = ks[(ks < 0) | (ks > _MAX_ORDER)]
+    if bad.size:
+        raise RangeError(f"order must be an integer in [0, {_MAX_ORDER}], got {bad.size} outside it "
+                         f"(min {bad.min()}, max {bad.max()})")
     if below is not None and not (0.0 <= below <= _MAX_ARG):
         raise RangeError(f"cutoff must lie in [0, {_MAX_ARG:g}], got {below!r}")
     kk = np.atleast_1d(ks).astype(np.int64)

@@ -132,6 +132,9 @@ def test_range_errors():
     for k in (-1, 201, np.array([0, 201]), np.array([-1, 3]), 1.5, np.array([0.0, 1.0]), "1"):
         with pytest.raises(RangeError):
             bessel_zeros(k, 3)
+    # the offending orders are counted, not echoed
+    with pytest.raises(RangeError, match=r"got 599 outside it \(min 201, max 799\)$"):
+        bessel_zeros(np.arange(800), 3)
     for m in (-1, 10_001, 2.5):
         with pytest.raises(RangeError):
             bessel_zeros(np.arange(3), m)

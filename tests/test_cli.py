@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from elastica.cli import main
-from elastica.fem import square_dirichlet_spectrum
+from elastica.diskmodes import disk_spectrum_potential
+from elastica.errors import DegenerateDecompositionError, MeshError, SingularLimitError
+from elastica.fem import fem_spectrum, square_dirichlet_spectrum
+from elastica.params import UNIT_DISK, BoundaryCondition, LameParams
 from elastica.spectrum import read_spectrum, write_spectrum
 
 
@@ -165,6 +168,67 @@ def test_spectrum_negative_kmax_exit3(tmp_path, capsys):
     assert rc == 3
     assert "k_max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _raise_mesh_error(parser, args):
+    raise MeshError("degenerate triangle")
+
+
+_DISK = ["spectrum", "--domain", "disk", "--mu", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, patch",
+    [
+        (_DISK + ["--lambda", "-1", "--bc", "dirichlet", "--method", "analytic", "--lambda-max", "1e6"], None),
+        (_DISK + ["--lambda", "1", "--bc", "free", "--method", "potential", "--kmax", "61",
+                  "--lambda-max", "50"], None),
+        (["coeffs", "--mu", "1", "--lambda", "1", "--dim", "11"], None),
+        (_DISK + ["--lambda", "-1", "--bc", "dirichlet", "--method", "potential", "--lambda-max", "60"], None),
+        (_DISK + ["--lambda", "-1", "--bc", "free", "--method", "fem", "--lambda-max", "60", "--h", "0.2"],
+         None),
+        (["verify", "--suite", "residue", "--mu", "1", "--lambda", "1"], "cmd_verify"),
+    ],
+    ids=["analytic_disk_past_bessel_orders", "kmax_61", "dim_11", "potential_decoupled",
+         "fem_free_decoupled", "bare_mesh_error"],
+)
+def test_every_library_refusal_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv, patch):
+    import elastica.cli as cli
+
+    if patch:
+        monkeypatch.setattr(cli, patch, _raise_mesh_error)
+    out = tmp_path / "x.csv"
+    rc = run(argv + (["--out", str(out)] if argv[0] == "spectrum" else []))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("gap", [0.0, 0.5e-12, 2e-12], ids=["exact", "inside", "outside"])
+def test_routes_agree_on_which_input_is_decoupled(tmp_path, capsys, mu, gap):
+    # |alpha - 1| = gap / (1 + gap) at lambda = -mu + gap*mu
+    lam = -mu + gap * mu
+    params = LameParams(mu, lam)
+    cut = 10.0 * mu  # a few eigenvalues at most, so every route is cheap
+    try:
+        disk_spectrum_potential(params, BoundaryCondition.DIRICHLET, lambda_max=cut)
+        potential_refuses = False
+    except DegenerateDecompositionError:
+        potential_refuses = True
+    try:
+        fem_spectrum(UNIT_DISK, params, BoundaryCondition.FREE, 4, cut)
+        fem_free_refuses = False
+    except SingularLimitError:
+        fem_free_refuses = True
+    rc = run(_DISK[:4] + [repr(mu), f"--lambda={lam!r}", "--bc", "dirichlet", "--method", "analytic",
+                          "--lambda-max", repr(cut), "--out", str(tmp_path / "x.csv")])
+    capsys.readouterr()
+    assert potential_refuses == (gap < 1e-12)
+    assert fem_free_refuses == potential_refuses
+    assert (rc == 0) == potential_refuses and rc in (0, 3)
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,27 @@ def test_refine_validation():
         refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [8, 16], 4)
     with pytest.raises(ParameterDomainError):
         refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [8, 16, 30], 4)
+    with pytest.raises(ParameterDomainError, match="exactly 3"):
+        refine_and_extrapolate(UNIT_SQUARE, PDEC, BC.DIRICHLET, [4, 8, 16, 32], 4)
+
+
+@pytest.mark.parametrize("build", [square_dirichlet_spectrum, square_neumann_lattice_spectrum,
+                                   disk_dirichlet_spectrum])
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_analytic_builders_refuse_bad_mu(build, mu):
+    with pytest.raises(ParameterDomainError, match="mu > 0"):
+        build(mu, 100.0)
+
+
+def test_disk_dirichlet_refuses_orders_past_the_zero_table(monkeypatch):
+    from elastica.fem import analytic
+
+    assert disk_dirichlet_spectrum(1.0, 4.4e4).total_count == 21790  # orders up to 198
+    monkeypatch.setattr(analytic, "bessel_zeros", None)  # refused before any zero is made
+    for cut, top in ((4.5e4, 201), (1e6, 981)):
+        with pytest.raises(ParameterDomainError, match=rf"orders up to {top} .* supported 200$") as exc:
+            disk_dirichlet_spectrum(1.0, cut)
+        assert len(str(exc.value)) < 100
 
 
 def test_square_lattice_spectrum():
