@@ -71,14 +71,11 @@ def _nearest_distance(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 # relative distance below the common cutoff at which a comparison stops
 _EDGE_MARGIN = 0.005
+# most gap midpoints sampled for the count table; more are thinned evenly
+_N_SAMPLES = 60
 
 
-def compare_spectra(
-    spec_a: Spectrum,
-    spec_b: Spectrum,
-    pair_rtol: float = 5e-3,
-    n_samples: int = 60,
-) -> SpectrumComparison:
+def compare_spectra(spec_a: Spectrum, spec_b: Spectrum, pair_rtol: float = 5e-3) -> SpectrumComparison:
     """Pair eigenvalue lists of one problem and tabulate count differences.
 
     Spectra of different domains, boundary conditions or Lame parameters
@@ -86,7 +83,8 @@ def compare_spectra(
     (``_EDGE_MARGIN`` relative) so an eigenvalue straddling the cutoff in
     one method only is not misread as a lost mode.  Sample points for the
     count table are gap midpoints of the union list, which keeps them away
-    from eigenvalues of either method.
+    from eigenvalues of either method; past ``_N_SAMPLES`` of them, that
+    many are picked evenly, and ``lambda_cut`` is always the last sample.
     """
     if spec_a.domain.name != spec_b.domain.name or spec_a.bc != spec_b.bc:
         raise ParameterDomainError("spectra must share domain and boundary condition")
@@ -109,8 +107,8 @@ def compare_spectra(
     guard = _nearest_distance(cand, np.sort(np.concatenate([ea, eb])))
     keep = guard > 2.0 * pair_rtol * np.maximum(cand, 1.0)
     mids = cand[keep]
-    if mids.size > n_samples:
-        take = np.linspace(0, mids.size - 1, n_samples).astype(int)
+    if mids.size > _N_SAMPLES:
+        take = np.linspace(0, mids.size - 1, _N_SAMPLES).astype(int)
         mids = mids[take]
     mids = np.concatenate([mids, [lam_cut]])
     ca = np.searchsorted(ea, mids, side="left")

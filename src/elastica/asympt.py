@@ -312,20 +312,12 @@ def shifted_window(rep: FitReport, spectrum: Spectrum) -> np.ndarray:
     return fit_window(rep.model, lo + 0.5 * width, min(hi + 0.5 * width, spectrum.lambda_max))
 
 
-def write_remainder_csv(path, rem: RemainderSeries) -> None:
-    """Plot-ready columns: lambda, remainder, cesaro_mean."""
-    lines = ["lambda,remainder,cesaro_mean"]
-    for lam, r, c in zip(rem.grid, rem.raw, rem.cesaro):
-        lines.append(f"{float(lam)!r},{float(r)!r},{float(c)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_heat_csv(path, ht: HeatTrace) -> None:
-    """Plot-ready columns: t, trace, tail_bound."""
-    lines = ["t,trace,tail_bound"]
-    for t, z, tb in zip(ht.t, ht.values, ht.tail_bounds):
-        lines.append(f"{float(t)!r},{float(z)!r},{float(tb)!r}")
+def write_columns_csv(path, names, *columns) -> None:
+    """Plot-ready CSV: a header of ``names``, then one row per index of the
+    equal-length ``columns``, each number as the repr of its float, so it
+    reads back to the same float."""
+    lines = [",".join(names)]
+    lines += [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,8 +28,7 @@ from .asympt import (
     min_admissible_t,
     remainder_series,
     shifted_window,
-    write_heat_csv,
-    write_remainder_csv,
+    write_columns_csv,
 )
 from .coeffs import (
     _BD_QUAD,
@@ -208,15 +208,12 @@ def cmd_fit(parser, args) -> int:
     rep = fit_two_term(spectrum, args.model, window=window)
     # window-stability indicator: same fit on a shifted window
     rep2 = fit_two_term(spectrum, args.model, window=shifted_window(rep, spectrum))
-    if args.csv:
-        if args.model == "heat":
-            write_heat_csv(args.csv, heat_trace(spectrum, np.geomspace(*rep.window, 200)))
-        else:
-            grid = np.linspace(*rep.window, 400)
-            write_remainder_csv(
-                args.csv,
-                remainder_series(spectrum, grid, weyl_a(spectrum.params, 2)),
-            )
+    if args.csv and args.model == "heat":
+        ht = heat_trace(spectrum, np.geomspace(*rep.window, 200))
+        write_columns_csv(args.csv, ("t", "trace", "tail_bound"), ht.t, ht.values, ht.tail_bounds)
+    elif args.csv:
+        rem = remainder_series(spectrum, np.linspace(*rep.window, 400), weyl_a(spectrum.params, 2))
+        write_columns_csv(args.csv, ("lambda", "remainder", "cesaro_mean"), rem.grid, rem.raw, rem.cesaro)
     try:
         t_min = min_admissible_t(spectrum)
     except TailBoundError:  # no admissible t; strict JSON has no inf, so null
@@ -290,8 +287,20 @@ def cmd_verify(parser, args) -> int:
     return 1 if any(rep["verdict"] == "FAIL" for rep in outputs.values()) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent form
+    (``-1e-05``, ``-.5e1``, ``-2E+3``) as a value, as argparse already reads
+    ``-1`` and ``-0.5``, instead of as an unknown option.  Subparsers are
+    built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher, set per instance, knows only -1 and -0.5
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elastica",
         description="Elastic spectra on model planar domains and their two-term asymptotics.",
     )

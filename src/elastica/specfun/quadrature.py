@@ -32,17 +32,6 @@ class QuadratureSpec:
             raise ParameterDomainError("max_refinements must be >= 1")
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    converged: bool
-    est_rel_error: float
-    evaluations: int
-
-    def __float__(self):
-        return self.value
-
-
 @functools.cache
 def _tanh_sinh_level(level):
     """Nodes of refinement `level`: (offsets q, weights w, centre weight).
@@ -78,42 +67,35 @@ def _tanh_sinh_level(level):
 
 def _tanh_sinh(f, a, b, spec):
     half = 0.5 * (b - a)
-    total = 0.0
-    evals = 0
-    prev = None
-    err = math.inf
+    total = prev = 0.0
     for level in range(spec.max_refinements + 1):
         q, w, centre = _tanh_sinh_level(level)
         d = half * q
         fx = f(np.concatenate(([a + half] if level == 0 else [], a + d, b - d)))
-        evals += fx.size
         m = q.size
         acc = float(w @ (fx[-2 * m : -m] + fx[-m:]))
         if level == 0:
             acc += centre * float(fx[0])
         # node weights already carry their level's step size
         total = acc * half if level == 0 else 0.5 * total + acc * half
-        if prev is not None:
-            err = abs(total - prev) / max(abs(total), 1e-300)
-            if err <= spec.rel_tol and level >= 2:
-                return IntegrationResult(total, True, err, evals)
+        if level >= 2 and abs(total - prev) / max(abs(total), 1e-300) <= spec.rel_tol:
+            return total, True
         prev = total
-    return IntegrationResult(total, False, err, evals)
+    return total, False
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> IntegrationResult:
+def integrate(f, a: float, b: float, spec: QuadratureSpec) -> tuple[float, bool]:
     """Integrate f over [a, b] to the spec's relative tolerance.
 
-    Returns a flagged result; ``converged`` is False when the refinement cap
-    was hit before the tolerance.  The empty interval integrates to 0.
+    Returns ``(value, converged)``; ``converged`` is False when the
+    refinement cap was hit before the tolerance, and the last value is
+    returned all the same.  The empty interval integrates to (0.0, True).
     f maps a float array of abscissae to an array of values of the same
     shape, and must be finite on the open interval; endpoint-singular
     derivatives are fine.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if a > b:
         raise ParameterDomainError(f"need a <= b, got [{a}, {b}]")
     if a == b:
-        return IntegrationResult(0.0, True, 0.0, 0)
+        return 0.0, True
     return _tanh_sinh(f, a, b, spec)

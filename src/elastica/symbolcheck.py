@@ -28,11 +28,9 @@ import numpy as np
 from .coeffs import Theory, heat_gamma, to_heat_coeffs, weyl_two_term
 from .errors import ParameterDomainError
 from .params import LameParams, check_dimension
-from .specfun import ContourSpec, QuadratureSpec, contour_integral, integrate
+from .specfun import QuadratureSpec, contour_integral, integrate
 
 _POLE_TOL = 1e-10
-# contour quadrature target of residue_heat
-_CONTOUR_REL_TOL = 1e-10
 # verdict tolerances on the relative gaps: the residue check, and the
 # interior and boundary-layer momentum integrals
 RESIDUE_GAP_TOL = 1e-8
@@ -97,16 +95,16 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int) -> GapRe
     p1, p2 = _poles(params, xi_norm2)
     spread = abs(p2 - p1)
     if spread <= 1.0 / t:
-        circles = [ContourSpec(center=0.5 * (p1 + p2), radius=1.0 / t)]
+        circles = [(0.5 * (p1 + p2), 1.0 / t)]
     else:
-        circles = [ContourSpec(center=p, radius=min(0.5 * spread, 1.0 / t)) for p in (p1, p2)]
+        circles = [(p, min(0.5 * spread, 1.0 / t)) for p in (p1, p2)]
 
     def g(tau):
         return np.exp(-t * (tau - p1)) * trace_q2(xi_norm2, tau, params, n)
 
-    parts = [contour_integral(g, spec, rel_tol=_CONTOUR_REL_TOL) for spec in circles]
-    total = sum(r.value for r in parts)
-    converged = all(r.converged for r in parts)
+    values, flags = zip(*(contour_integral(g, center, radius) for center, radius in circles))
+    total = sum(values)
+    converged = all(flags)
     closed = (n - 1) + math.exp(-t * (p2 - p1))
     gap = abs(total - closed) / closed
     scale = math.exp(-t * p1)
@@ -115,8 +113,7 @@ def residue_heat(t: float, xi_norm2: float, params: LameParams, n: int) -> GapRe
         closed_form=closed * scale,
         rel_gap=gap,
         passed=converged and gap <= RESIDUE_GAP_TOL,
-        detail={"imag": total.imag * scale, "panels": sum(r.panels for r in parts),
-                "contour_converged": converged},
+        detail={"imag": total.imag * scale, "contour_converged": converged},
     )
 
 
@@ -141,10 +138,12 @@ def interior_coefficient(t: float, params: LameParams, n: int) -> GapReport:
             (n - 1) * np.exp(-t * c1 * r * r) + np.exp(-t * c2 * r * r)
         )
 
-    val = sphere / (2.0 * math.pi) ** n * integrate(f, 0.0, rmax, _QUAD).value
+    integral, converged = integrate(f, 0.0, rmax, _QUAD)
+    val = sphere / (2.0 * math.pi) ** n * integral
     closed = to_heat_coeffs(weyl_two_term(params, n, Theory.LIU)).a_tilde * t ** (-n / 2.0)
     gap = abs(val - closed) / closed
-    return GapReport(value=val, closed_form=closed, rel_gap=gap, passed=gap <= INTEGRAL_GAP_TOL)
+    return GapReport(value=val, closed_form=closed, rel_gap=gap,
+                     passed=converged and gap <= INTEGRAL_GAP_TOL)
 
 
 def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = None) -> GapReport:
@@ -171,12 +170,12 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
         )
 
     smax = math.sqrt(50.0 * t * max(c1, c2))
-    val = integrate(f, 0.0, smax, _QUAD).value
+    val, converged = integrate(f, 0.0, smax, _QUAD)
     closed = to_heat_coeffs(weyl_two_term(params, n, Theory.LIU)).b_tilde_plus * t ** (-(n - 1) / 2.0)
     gap = abs(val - closed) / closed
     detail = {}
     if eps is not None:
-        tail = integrate(f, eps, max(smax, 2.0 * eps), _QUAD).value
+        tail = integrate(f, eps, max(smax, 2.0 * eps), _QUAD)[0]
         detail["tail"] = tail
         detail["tail_ratio"] = tail / closed
         # shape bound C * t^{1-n/2} e^{-eps^2/((2mu+lambda) t)} with C from the prefactors
@@ -184,7 +183,8 @@ def boundary_layer(t: float, params: LameParams, n: int, eps: float | None = Non
             n * t ** (1.0 - n / 2.0) * math.exp(-eps * eps / (max(c1, c2) * t))
         )
     return GapReport(
-        value=val, closed_form=closed, rel_gap=gap, passed=gap <= INTEGRAL_GAP_TOL, detail=detail
+        value=val, closed_form=closed, rel_gap=gap, passed=converged and gap <= INTEGRAL_GAP_TOL,
+        detail=detail,
     )
 
 

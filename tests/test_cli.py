@@ -87,6 +87,24 @@ def test_missing_required_flag_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("mu, lam", [("1e-4", "-9.99999999995e-05"), ("2E+3", "-2E+3"),
+                                     ("5e0", "-.5e1"), ("1e-05", "1e-05")])
+@pytest.mark.parametrize("command", [["coeffs"], ["verify", "--suite", "residue"],
+                                     ["spectrum", "--domain", "disk", "--bc", "dirichlet",
+                                      "--method", "analytic", "--lambda-max", "1", "--out", "x.csv"]])
+def test_numbers_in_exponent_form_are_values_not_options(command, mu, lam):
+    # argparse alone reads "-1e-05" as an option and exits 2: "expected one argument"
+    from elastica.cli import build_parser
+
+    parser = build_parser()
+    for argv in (["--mu", mu, "--lambda", lam], [f"--mu={mu}", f"--lambda={lam}"]):
+        args = parser.parse_args(command + argv)
+        assert (args.mu, args.lam) == (float(mu), float(lam))
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(command + ["--mu", mu, "--lambda", "-e5"])
+    assert exc.value.code == 2
+
+
 def test_invalid_mu_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--suite", "residue", "--mu", "-1", "--lambda", "1"])
@@ -103,6 +121,20 @@ def test_spectrum_analytic_square(tmp_path, capsys):
     assert abs(sp.eigenvalues[0] - 2 * math.pi**2) < 1e-12
     # exact lattice: compare against an independent enumeration
     brute = sum(2 for p in range(1, 40) for q in range(1, 40)
+                if math.pi**2 * (p * p + q * q) <= 1e4)
+    assert sp.total_count == brute
+
+
+def test_spectrum_analytic_square_free_writes_the_neumann_lattice(tmp_path):
+    # the free square at lambda = -mu: pi^2 (p^2 + q^2) with p, q >= 0, each doubled
+    out = tmp_path / "sq.csv"
+    rc = run(["spectrum", "--domain", "square", "--mu", "1", "--lambda", "-1",
+              "--bc", "free", "--method", "analytic", "--lambda-max", "10000",
+              "--out", str(out)])
+    assert rc == 0
+    sp = read_spectrum(out)
+    assert sp.bc is BoundaryCondition.FREE and sp.eigenvalues[0] == 0.0
+    brute = sum(2 for p in range(0, 40) for q in range(0, 40)
                 if math.pi**2 * (p * p + q * q) <= 1e4)
     assert sp.total_count == brute
 
@@ -188,9 +220,11 @@ _DISK = ["spectrum", "--domain", "disk", "--mu", "1"]
         (_DISK + ["--lambda", "-1", "--bc", "free", "--method", "fem", "--lambda-max", "60", "--h", "0.2"],
          None),
         (["verify", "--suite", "residue", "--mu", "1", "--lambda", "1"], "cmd_verify"),
+        (["spectrum", "--domain", "square", "--mu", "1", "--lambda", "1", "--bc", "dirichlet",
+          "--method", "potential", "--lambda-max", "50"], None),
     ],
     ids=["analytic_disk_past_bessel_orders", "kmax_61", "dim_11", "potential_decoupled",
-         "fem_free_decoupled", "bare_mesh_error"],
+         "fem_free_decoupled", "bare_mesh_error", "potential_on_the_square"],
 )
 def test_every_library_refusal_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv, patch):
     import elastica.cli as cli
@@ -204,6 +238,8 @@ def test_every_library_refusal_exits_3_with_one_error_line(tmp_path, capsys, mon
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()
+    if argv[2] == "square":
+        assert "potential method is defined on the disk only" in err
 
 
 @pytest.mark.parametrize("mu", [1e-4, 1.0, 1e4])
@@ -318,6 +354,29 @@ def test_fit_shifted_window_is_the_library_rule(tmp_path, model, window):
     samples = None if window is None else fit_window(model, *(float(x) for x in window.split(",")))
     shifted = shifted_window(fit_two_term(sp, model, window=samples), sp)
     assert stability["shifted_window"] == [shifted.min(), shifted.max()]
+
+
+@pytest.mark.parametrize("model, header, rows", [("heat", "t,trace,tail_bound", 200),
+                                                 ("counting", "lambda,remainder,cesaro_mean", 400)])
+def test_fit_csv_writes_the_library_series(tmp_path, model, header, rows):
+    from elastica.asympt import heat_trace, remainder_series
+    from elastica.coeffs import weyl_a
+
+    spath, out, csv = tmp_path / "sq.csv", tmp_path / "fit.json", tmp_path / "samples.csv"
+    write_spectrum(square_dirichlet_spectrum(1.0, 3e3), spath)
+    assert run(["fit", "--spectrum", str(spath), "--model", model, "--out", str(out), "--csv", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == header and len(lines) == rows + 1
+    written = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    sp = read_spectrum(spath)
+    window = json.loads(out.read_text())["outputs"]["window"]
+    if model == "heat":
+        ht = heat_trace(sp, np.geomspace(*window, 200))
+        expected = np.column_stack([ht.t, ht.values, ht.tail_bounds])
+    else:
+        rem = remainder_series(sp, np.linspace(*window, 400), weyl_a(sp.params, 2))
+        expected = np.column_stack([rem.grid, rem.raw, rem.cesaro])
+    assert np.array_equal(written, expected)  # bit for bit: every number reads back to its float
 
 
 def test_fit_synthetic_planted_file(tmp_path):

@@ -172,10 +172,15 @@ def test_b_liu_values_and_symmetry():
 
 
 def test_b_cflv_equals_b_liu_at_alpha1_dirichlet():
-    for n in (2, 3, 4):
+    # the arctan integral is clamped to 0 at alpha = 1, leaving -n mu^{(1-n)/2} /
+    # (2^{n+1} pi^{(n-1)/2} Gamma((n+1)/2)) under both theories
+    closed = {2: -1.0 / (2.0 * math.pi), 3: -3.0 / (16.0 * math.pi), 5: -5.0 / (128.0 * math.pi**2)}
+    for n in (2, 3, 4, 5):
         bc_ = b_cflv(P1M1, n, BC.DIRICHLET)
         bl = b_liu(P1M1, n, BC.DIRICHLET)
         assert abs(bc_ - bl) <= 1e-12 * abs(bl)
+        if n in closed:
+            assert abs(bc_ - closed[n]) <= 1e-15 * abs(closed[n]), n
 
 
 def test_to_heat_coeffs_gamma_factors():

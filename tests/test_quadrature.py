@@ -7,34 +7,29 @@ import pytest
 import scipy.special as sps
 
 from elastica.errors import ParameterDomainError
-from elastica.specfun import (
-    ContourSpec,
-    QuadratureSpec,
-    contour_integral,
-    integrate,
-)
+from elastica.specfun import QuadratureSpec, contour, contour_integral, integrate
 
 DE = QuadratureSpec(rel_tol=1e-12)
 
 
 def test_empty_interval():
-    r = integrate(lambda t: 1.0 / t, 1.0, 1.0, DE)
-    assert r.value == 0.0 and r.converged
+    assert integrate(lambda t: 1.0 / t, 1.0, 1.0, DE) == (0.0, True)
 
 
 def test_linear():
-    assert abs(integrate(lambda t: t, 0.0, 1.0, DE).value - 0.5) < 1e-14
+    value, converged = integrate(lambda t: t, 0.0, 1.0, DE)
+    assert abs(value - 0.5) < 1e-14 and converged
 
 
 def test_endpoint_singular_derivative():
-    r = integrate(lambda t: np.sqrt(t), 0.0, 1.0, DE)
-    assert abs(r.value - 2.0 / 3.0) < 1e-12
+    value, _ = integrate(lambda t: np.sqrt(t), 0.0, 1.0, DE)
+    assert abs(value - 2.0 / 3.0) < 1e-12
 
 
 def test_inverse_sqrt_singularity():
-    r = integrate(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0, DE)
-    assert abs(r.value - 2.0) < 1e-11
-    assert r.converged
+    value, converged = integrate(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0, DE)
+    assert abs(value - 2.0) < 1e-11
+    assert converged
 
 
 def test_arctan_integrand_vs_riemann_oracle():
@@ -49,15 +44,15 @@ def test_arctan_integrand_vs_riemann_oracle():
     n = 1_000_000
     mids = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     oracle = float(np.sum(f(mids)) * (hi - lo) / n)
-    r = integrate(f, lo, hi, DE)
-    assert r.converged
-    assert abs(r.value - oracle) < 1e-9
+    value, converged = integrate(f, lo, hi, DE)
+    assert converged
+    assert abs(value - oracle) < 1e-9
 
 
 def test_refinement_cap_flags_not_raises():
     slow = QuadratureSpec(rel_tol=1e-12, max_refinements=1)
-    r = integrate(lambda t: np.sin(103.0 * t) ** 2 / np.sqrt(t), 0.0, 1.0, slow)
-    assert not r.converged
+    value, converged = integrate(lambda t: np.sin(103.0 * t) ** 2 / np.sqrt(t), 0.0, 1.0, slow)
+    assert not converged and math.isfinite(value)
 
 
 def test_spec_validation():
@@ -66,7 +61,7 @@ def test_spec_validation():
     with pytest.raises(ParameterDomainError):
         QuadratureSpec(rel_tol=1e-3)
     with pytest.raises(ParameterDomainError):
-        integrate(lambda t: t, 1.0, 0.0)
+        integrate(lambda t: t, 1.0, 0.0, DE)
 
 
 def _scalar_level(level):
@@ -115,14 +110,13 @@ def test_integrate_calls_f_once_per_level():
             sizes.append(t.size)
             return np.sin(103.0 * t) ** 2 / np.sqrt(t)
 
-        r = integrate(f, 0.0, 1.0, spec)
+        assert integrate(f, 0.0, 1.0, spec)[1] == converged
         levels = [_tanh_sinh_level(level)[0].size for level in range(len(sizes))]
         assert sizes == [1 + 2 * levels[0]] + [2 * m for m in levels[1:]]
-        assert r.converged == converged and sum(sizes) == r.evaluations
     assert len(sizes) == 2
 
 
-def test_contour_calls_g_once_per_doubling():
+def test_contour_calls_g_once_per_doubling(monkeypatch):
     sizes = []
 
     def counted(g):
@@ -131,14 +125,14 @@ def test_contour_calls_g_once_per_doubling():
             return g(tau)
         return inner
 
-    r = contour_integral(counted(lambda tau: 1.0 / (tau - 1.999999)),
-                         ContourSpec(center=1.0, radius=1.0, panels=8), max_doublings=2)
-    assert not r.converged and sizes == [8, 8, 16] and r.panels == 32
+    monkeypatch.setattr(contour, "_PANELS", 8)
+    monkeypatch.setattr(contour, "_MAX_DOUBLINGS", 2)
+    assert not contour_integral(counted(lambda tau: 1.0 / (tau - 1.999999)), 1.0, 1.0)[1]
+    assert sizes == [8, 8, 16]
     sizes.clear()
-    r = contour_integral(counted(lambda tau: np.exp(-tau) / (tau - 2.0)),
-                         ContourSpec(center=2.0, radius=4.0, panels=8))
-    assert r.converged and len(sizes) > 2
-    assert sizes == [8] + [8 * 2**i for i in range(len(sizes) - 1)] and sum(sizes) == r.panels
+    monkeypatch.setattr(contour, "_MAX_DOUBLINGS", 12)
+    assert contour_integral(counted(lambda tau: np.exp(-tau) / (tau - 2.0)), 2.0, 4.0)[1]
+    assert len(sizes) > 2 and sizes == [8] + [8 * 2**i for i in range(len(sizes) - 1)]
 
 
 _REFINE_CASES = (  # (function, slope, a, b)
@@ -261,33 +255,38 @@ def test_refine_brackets_one_bracket_alone_equals_it_in_a_batch():
 
 
 def test_contour_cauchy():
-    r = contour_integral(lambda t: 1.0 / (t - 1.0), ContourSpec(center=1.0, radius=0.5))
-    assert r.converged
-    assert abs(r.value - 1.0) < 1e-12
+    value, converged = contour_integral(lambda t: 1.0 / (t - 1.0), 1.0, 0.5)
+    assert converged
+    assert abs(value - 1.0) < 1e-12
 
 
 def test_contour_single_residue():
     t = 0.7
     mu_xi2 = 2.0
-    r = contour_integral(
-        lambda tau: np.exp(-t * tau) / (tau - mu_xi2),
-        ContourSpec(center=mu_xi2, radius=1.0),
-    )
-    assert abs(r.value - math.exp(-t * mu_xi2)) < 1e-12
+    value, _ = contour_integral(lambda tau: np.exp(-t * tau) / (tau - mu_xi2), mu_xi2, 1.0)
+    assert abs(value - math.exp(-t * mu_xi2)) < 1e-12
 
 
 def test_contour_rational_residue_sum():
     # 1/((tau-1)(tau-3)) has residues 1/(1-3) and 1/(3-1) -> enclosing both gives 0,
     # enclosing only tau=1 gives -1/2
     g = lambda tau: 1.0 / ((tau - 1.0) * (tau - 3.0))
-    both = contour_integral(g, ContourSpec(center=2.0, radius=4.0))
-    assert abs(both.value - 0.0) < 1e-10
-    one = contour_integral(g, ContourSpec(center=1.0, radius=0.5))
-    assert abs(one.value + 0.5) < 1e-10
+    both, _ = contour_integral(g, 2.0, 4.0)
+    assert abs(both - 0.0) < 1e-10
+    one, _ = contour_integral(g, 1.0, 0.5)
+    assert abs(one + 0.5) < 1e-10
 
 
-def test_contour_nonconvergence_flagged():
+def test_contour_nonconvergence_flagged(monkeypatch):
     # pole nearly on the contour: trapezoid cannot settle in few doublings
+    monkeypatch.setattr(contour, "_PANELS", 8)
+    monkeypatch.setattr(contour, "_MAX_DOUBLINGS", 2)
     g = lambda tau: 1.0 / (tau - 1.999999)
-    r = contour_integral(g, ContourSpec(center=1.0, radius=1.0, panels=8), max_doublings=2)
-    assert not r.converged
+    value, converged = contour_integral(g, 1.0, 1.0)
+    assert not converged and np.isfinite(value)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_contour_refuses_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ParameterDomainError, match="radius"):
+        contour_integral(lambda tau: tau, 1.0, radius)

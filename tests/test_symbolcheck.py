@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from elastica import symbolcheck
 from elastica.errors import ParameterDomainError
 from elastica.params import LameParams
 from elastica.symbolcheck import (
@@ -161,6 +162,20 @@ def test_boundary_layer_tail_beats_any_power():
     r2 = boundary_layer(0.01, P11, 2, eps=0.5)
     ratio = r2.detail["tail_ratio"] / r1.detail["tail_ratio"]
     assert ratio < (0.01 / 0.02) ** 6
+
+
+@pytest.mark.parametrize("name,check", [
+    ("contour_integral", lambda: residue_heat(0.1, 1.0, P11, 2)),
+    ("integrate", lambda: interior_coefficient(0.1, P11, 2)),
+    ("integrate", lambda: boundary_layer(0.1, P11, 2)),
+])
+def test_each_integral_check_needs_its_integral_converged(monkeypatch, name, check):
+    # the integrator's own value, flagged unconverged: the gap holds and the check fails
+    assert check().passed
+    exact = getattr(symbolcheck, name)
+    monkeypatch.setattr(symbolcheck, name, lambda *args: (exact(*args)[0], False))
+    rep = check()
+    assert rep.rel_gap <= 1e-9 and rep.passed is False
 
 
 def test_prop71_analytic_pass():
